@@ -20,6 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .stats import (
+    BatchStats,
     IdealDistribution,
     PredictionStats,
     ProbabilityBatch,
@@ -90,6 +91,7 @@ __all__ = [
     # stats
     "ProbabilityBatch",
     "PredictionStats",
+    "BatchStats",
     "IdealDistribution",
     "compute_stats",
     "exact_ce",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .stats import ProbabilityBatch, _stats_arrays
+from .stats import ProbabilityBatch, compute_stats
 
 __all__ = [
     "IGNORE_LABEL",
@@ -76,9 +76,9 @@ def threshold_select(
     selected samples and ``IGNORE_LABEL`` (-1) elsewhere.  The comparison
     is inclusive, so tau = 1.0 keeps exactly the one-hot rows.
     """
-    max_class, max_conf, *_ = _stats_arrays(batch)
-    mask = max_conf >= policy.tau
-    labels = np.where(mask, max_class, IGNORE_LABEL)
+    stats = compute_stats(batch)
+    mask = stats.max_conf >= policy.tau
+    labels = np.where(mask, stats.max_class, IGNORE_LABEL)
     return labels, mask
 
 

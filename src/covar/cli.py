@@ -12,13 +12,15 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .baseline import ece as compute_ece
-from .decomposition import EpsilonPolicy, decompose_batch, decompose_sample
-from .errors import CovarError, InfiniteCrossEntropyError
+from .decomposition import EpsilonPolicy, decompose_batch, g_coefficient
+from .decomposition import decompose_sample  # noqa: F401  (perfbench/tracing.py wraps it by name)
+from .errors import CovarError
 from .io import (
     format_float,
     load_labels,
@@ -33,7 +35,7 @@ from .simulator import CovarPolicy, SyntheticConfig, evaluate_policies, generate
 from .stats import ProbabilityBatch, compute_stats
 from .baseline import ThresholdPolicy
 
-_REPORT_VERSION = 1
+_REPORT_VERSION = 2
 
 
 def _fin(x: float):
@@ -55,6 +57,12 @@ def _report(kind: str, **sections) -> dict:
     doc = {"report": kind, "format_version": _REPORT_VERSION, "tool": f"covar {__version__}"}
     doc.update(sections)
     return doc
+
+
+def _rows(**columns) -> list[dict]:
+    """One report entry per row, with one key per column in column order."""
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*values)]
 
 
 def _retention_list(retention: dict) -> list:
@@ -89,34 +97,25 @@ def _cmd_decompose(args) -> dict:
         policy = EpsilonPolicy.fixed(value)
         eps_echo = value
     sts = compute_stats(batch)
-    per = []
-    for i, s in enumerate(sts):
-        try:
-            per.append(decompose_sample(s, policy, paper_literal=args.paper_literal))
-        except InfiniteCrossEntropyError as exc:
-            raise InfiniteCrossEntropyError(f"sample {i}: {exc}") from None
     agg = decompose_batch(sts, policy, paper_literal=args.paper_literal)
-    samples = []
-    for i, (s, d) in enumerate(zip(sts, per)):
-        samples.append(
-            {
-                "index": i,
-                "max_class": s.max_class,
-                "max_conf": s.max_conf,
-                "rcv": s.rcv,
-                "rho": s.rho,
-                "degenerate": s.degenerate,
-                "epsilon": d.epsilon,
-                "g_coeff": d.g_coeff,
-                "exact_ce": d.exact_ce,
-                "approx_ce": d.approx_ce,
-                "middle_term": d.middle_term,
-                "f_term": d.f_term,
-                "remainder_bound": _fin(d.remainder_bound),
-                "remainder_actual": d.remainder_actual,
-                "assumption_ok": d.assumption_ok,
-            }
-        )
+    per = agg.samples
+    samples = _rows(
+        index=range(len(per)),
+        max_class=sts.max_class,
+        max_conf=sts.max_conf,
+        rcv=sts.rcv,
+        rho=sts.rho,
+        degenerate=sts.degenerate,
+        epsilon=[d.epsilon for d in per],
+        g_coeff=[d.g_coeff for d in per],
+        exact_ce=[d.exact_ce for d in per],
+        approx_ce=[d.approx_ce for d in per],
+        middle_term=[d.middle_term for d in per],
+        f_term=[d.f_term for d in per],
+        remainder_bound=[_fin(d.remainder_bound) for d in per],
+        remainder_actual=[d.remainder_actual for d in per],
+        assumption_ok=[d.assumption_ok for d in per],
+    )
     return _report(
         "decompose",
         input=_input_section(batch, str(args.input)),
@@ -161,21 +160,16 @@ def _cmd_select(args) -> dict:
     batch = load_matrix(args.input, args.format)
     sts = compute_stats(batch)
     result = pcos(batch, args.embedding, args.lam, alg1_exponent=args.alg1_exponent)
-    k = batch.n_classes
-    samples = []
-    for i, s in enumerate(sts):
-        samples.append(
-            {
-                "index": i,
-                "max_class": s.max_class,
-                "max_conf": s.max_conf,
-                "rcv": s.rcv,
-                "g_coeff": (k - 1) ** 2 / (2.0 * (1.0 - s.safe_conf)),
-                "weight": float(result.weights[i]),
-                "cluster": int(result.assignment[i]),
-                "preserved": bool(result.preserved_mask[i]),
-            }
-        )
+    samples = _rows(
+        index=range(len(sts)),
+        max_class=sts.max_class,
+        max_conf=sts.max_conf,
+        rcv=sts.rcv,
+        g_coeff=g_coefficient(sts.safe_conf, batch.n_classes, EpsilonPolicy.adaptive()),
+        weight=result.weights,
+        cluster=result.assignment,
+        preserved=result.preserved_mask,
+    )
     return _report(
         "select",
         input=_input_section(batch, str(args.input)),
@@ -208,18 +202,6 @@ def _synthetic_config(args) -> SyntheticConfig:
     )
 
 
-def _config_echo(config: SyntheticConfig) -> dict:
-    return {
-        "n_samples": config.n_samples,
-        "n_classes": config.n_classes,
-        "class_priors": [float(p) for p in config.class_priors],
-        "base_accuracy": config.base_accuracy,
-        "overconfidence_temp": config.overconfidence_temp,
-        "residual_mode": config.residual_mode,
-        "seed": config.seed,
-    }
-
-
 def _cmd_simulate(args) -> dict:
     config = _synthetic_config(args)
     batch, labels = generate(config)
@@ -229,27 +211,24 @@ def _cmd_simulate(args) -> dict:
         with open(args.labels_out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(str(int(y)) for y in labels) + "\n")
     sts = compute_stats(batch)
-    correct = [s.max_class == int(y) for s, y in zip(sts, labels)]
-    samples = [
-        {
-            "index": i,
-            "true_label": int(labels[i]),
-            "max_class": s.max_class,
-            "correct": bool(correct[i]),
-            "max_conf": s.max_conf,
-            "rcv": s.rcv,
-        }
-        for i, s in enumerate(sts)
-    ]
+    correct = sts.max_class == labels
+    samples = _rows(
+        index=range(len(sts)),
+        true_label=labels,
+        max_class=sts.max_class,
+        correct=correct,
+        max_conf=sts.max_conf,
+        rcv=sts.rcv,
+    )
     return _report(
         "simulate",
         input=_input_section(batch, "simulate"),
-        config=_config_echo(config),
+        config=asdict(config),
         samples=samples,
         summary={
             "accuracy": float(np.mean(correct)),
-            "mean_max_conf": float(np.mean([s.max_conf for s in sts])),
-            "mean_rcv": float(np.mean([s.rcv for s in sts])),
+            "mean_max_conf": float(np.mean(sts.max_conf)),
+            "mean_rcv": float(np.mean(sts.rcv)),
         },
     )
 
@@ -266,7 +245,7 @@ def _cmd_compare(args) -> dict:
         config = _synthetic_config(args)
         batch, labels = generate(config)
         source = "simulate"
-        config_echo = _config_echo(config)
+        config_echo = asdict(config)
     policies = [
         ThresholdPolicy(tau=args.tau),
         CovarPolicy(kind=args.embedding, lam=args.lam),
@@ -300,20 +279,14 @@ def _cmd_ece(args) -> dict:
             f"{labels.shape[0]} labels for {batch.n_samples} samples"
         )
     sts = compute_stats(batch)
-    conf = np.array([s.max_conf for s in sts])
-    correct = np.array([s.max_class for s in sts]) == labels
-    report = compute_ece(conf, correct, n_bins=args.bins)
-    bins = []
-    for b in range(report.n_bins):
-        bins.append(
-            {
-                "lower": float(report.bin_edges[b]),
-                "upper": float(report.bin_edges[b + 1]),
-                "count": int(report.bin_count[b]),
-                "confidence": _fin(report.bin_confidence[b]),
-                "accuracy": _fin(report.bin_accuracy[b]),
-            }
-        )
+    report = compute_ece(sts.max_conf, sts.max_class == labels, n_bins=args.bins)
+    bins = _rows(
+        lower=report.bin_edges[:-1],
+        upper=report.bin_edges[1:],
+        count=report.bin_count,
+        confidence=[_fin(x) for x in report.bin_confidence],
+        accuracy=[_fin(x) for x in report.bin_accuracy],
+    )
     return _report(
         "ece",
         input=_input_section(batch, str(args.input)),
@@ -323,16 +296,16 @@ def _cmd_ece(args) -> dict:
 
 
 def _cmd_grid(args) -> str:
-    if not 0.0 < args.p_min <= args.p_max < 1.0:
-        raise CovarError("need 0 < p-min <= p-max < 1")
+    if not args.p_min <= args.p_max:
+        raise CovarError("need p-min <= p-max")
     if not 0.0 <= args.v_min <= args.v_max:
         raise CovarError("need 0 <= v-min <= v-max")
-    k = args.k
     ps = np.linspace(args.p_min, args.p_max, args.p_steps)
     vs = np.linspace(args.v_min, args.v_max, args.v_steps)
+    # g_coefficient also bounds p to [1/K, CONF_CEILING]
+    gs = g_coefficient(ps, args.k, EpsilonPolicy.adaptive())
     lines = ["p,v,ce"]
-    for p in ps:
-        g = (k - 1) ** 2 / (2.0 * (1.0 - p))
+    for p, g in zip(ps, gs):
         for v in vs:
             ce = -math.log(p) + g * v
             lines.append(f"{format_float(p)},{format_float(v)},{format_float(ce)}")

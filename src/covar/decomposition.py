@@ -36,11 +36,13 @@ C = (K-1)^{3/2} / (3 (1 - rho)^3 mu^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
+import numpy as np
+
 from .errors import AssumptionViolation, DomainError, InfiniteCrossEntropyError
-from .stats import CONF_CEILING, PredictionStats
+from .stats import CONF_CEILING, ROW_SUM_ACCEPT, BatchStats, PredictionStats
 
 __all__ = [
     "EpsilonPolicy",
@@ -124,7 +126,8 @@ class BatchDecomposition:
     population covariance of (g, v) over the batch, so the identity
     mean(g v) = srcv + cov_gv is algebraic.  ``lower_bound`` is the mean
     of -log p(k') + (K-1)^2/(2(1-p(k'))) v; under the adaptive policy
-    batch_ce >= lower_bound - remainder_batch_bound.
+    batch_ce >= lower_bound - remainder_batch_bound.  ``samples`` holds the
+    per-sample decompositions the means were taken over, in input order.
     """
 
     mc_bar: float
@@ -136,6 +139,7 @@ class BatchDecomposition:
     lower_bound: float
     remainder_batch_bound: float
     n_samples: int
+    samples: tuple[CEDecomposition, ...] = field(repr=False)
 
 
 def taylor_log_expand(p_k: float, mu: float, rho: float) -> tuple[float, float]:
@@ -163,20 +167,24 @@ def taylor_log_expand(p_k: float, mu: float, rho: float) -> tuple[float, float]:
     return value, bound
 
 
-def g_coefficient(max_conf: float, n_classes: int, policy: EpsilonPolicy) -> float:
+def g_coefficient(max_conf, n_classes: int, policy: EpsilonPolicy):
     """Dispersion-penalty coefficient g as a function of max confidence.
 
-    Strictly increasing in max_conf under both policies.
+    Strictly increasing in max_conf under both policies.  ``max_conf`` is
+    a float or an array of them; the result has the same shape.
     """
     k = n_classes
     if k < 2:
         raise DomainError(f"need at least 2 classes, got {k}")
-    # tolerate a few ulp below 1/K: a float64 uniform row's max entry can
-    # round to just under the exact value
-    if max_conf < (1.0 / k) * (1.0 - 1e-12) or max_conf > CONF_CEILING:
-        raise DomainError(
-            f"max_conf {max_conf!r} outside [1/K, {CONF_CEILING}] for K={k}"
-        )
+    # A row is kept as-is while its sum is within ROW_SUM_ACCEPT of 1, so
+    # its max entry can sit that far below 1/K (plus a few ulp of roundoff).
+    floor = (1.0 / k) * (1.0 - ROW_SUM_ACCEPT - 1e-12)
+    value = max_conf
+    if isinstance(max_conf, np.ndarray):
+        bad = ~((max_conf >= floor) & (max_conf <= CONF_CEILING))
+        value = float(max_conf.flat[bad.argmax()]) if bad.any() else floor
+    if not floor <= value <= CONF_CEILING:
+        raise DomainError(f"max_conf {value!r} outside [1/K, {CONF_CEILING}] for K={k}")
     if policy.mode == "adaptive":
         return (k - 1) ** 2 / (2.0 * (1.0 - max_conf))
     eps = policy.resolve((1.0 - max_conf) / (k - 1), k)
@@ -293,46 +301,45 @@ def decompose_sample(
 
 
 def decompose_batch(
-    batch_stats: Sequence[PredictionStats],
+    batch_stats: BatchStats,
     policy: EpsilonPolicy,
     *,
     paper_literal: bool = False,
 ) -> BatchDecomposition:
-    """Aggregate per-sample decompositions into batch means.
+    """Decompose every sample and aggregate the results into batch means.
 
     All means use compensated (fsum) summation in input order, so results
     are deterministic for a given input.  The covariance is population
     normalized (1/N), which is what makes
-    mean(g v) = g_bar v_bar + cov_gv exact.
+    mean(g v) = g_bar v_bar + cov_gv exact.  A sample with infinite cross
+    entropy raises :class:`InfiniteCrossEntropyError` naming its index.
     """
     n = len(batch_stats)
     if n == 0:
         raise DomainError("cannot decompose an empty batch")
-    per = [
-        decompose_sample(s, policy, paper_literal=paper_literal)
-        for s in batch_stats
-    ]
-    fs = [d.f_term for d in per]
-    gs = [d.g_coeff for d in per]
+    per = []
+    for i, s in enumerate(batch_stats):
+        try:
+            per.append(decompose_sample(s, policy, paper_literal=paper_literal))
+        except InfiniteCrossEntropyError as exc:
+            raise InfiniteCrossEntropyError(f"sample {i}: {exc}") from None
+    gs = np.array([d.g_coeff for d in per])
     # v as used inside each decomposition: zero for clamped degenerate rows.
-    vs = [0.0 if s.degenerate else s.rcv for s in batch_stats]
-    mc_bar = math.fsum(fs) / n
-    g_bar = math.fsum(gs) / n
-    v_bar = math.fsum(vs) / n
-    cov = math.fsum((g - g_bar) * (v - v_bar) for g, v in zip(gs, vs)) / n
+    degenerate = batch_stats.degenerate
+    vs = np.where(degenerate, 0.0, batch_stats.rcv)
+    mc_bar = math.fsum(d.f_term for d in per) / n
+    g_bar = math.fsum(gs.tolist()) / n
+    v_bar = math.fsum(vs.tolist()) / n
+    cov = math.fsum(((gs - g_bar) * (vs - v_bar)).tolist()) / n
     batch_ce = math.fsum(d.exact_ce for d in per) / n
 
-    k = batch_stats[0].n_classes
-    lower_terms = []
-    for s in batch_stats:
-        # -log p at the confidence the exact CE actually used; the clamp
-        # only enters the 1-p denominator.
-        p_log = s.safe_conf if s.degenerate else s.max_conf
-        v = 0.0 if s.degenerate else s.rcv
-        lower_terms.append(
-            -math.log(p_log) + (k - 1) ** 2 / (2.0 * (1.0 - s.safe_conf)) * v
-        )
-    lower = math.fsum(lower_terms) / n
+    # -log p at the confidence the exact CE actually used; the clamp only
+    # enters the 1-p denominator.
+    safe_conf = batch_stats.safe_conf
+    p_log = np.where(degenerate, safe_conf, batch_stats.max_conf)
+    neg_log = np.array([-math.log(p) for p in p_log.tolist()])
+    g_adaptive = g_coefficient(safe_conf, batch_stats.n_classes, EpsilonPolicy.adaptive())
+    lower = math.fsum((neg_log + g_adaptive * vs).tolist()) / n
     rem_bound = math.fsum(d.remainder_bound for d in per) / n
 
     return BatchDecomposition(
@@ -345,4 +352,5 @@ def decompose_batch(
         lower_bound=lower,
         remainder_batch_bound=rem_bound,
         n_samples=n,
+        samples=tuple(per),
     )

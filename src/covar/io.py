@@ -7,8 +7,9 @@ Matrix files come in two flavors:
 * A binary container: magic ``COVR``, version byte 0x01, two u32 fields
   N and K, then N*K float64 values row-major; everything little-endian.
 
-Reports are JSON documents emitted by a dedicated writer that formats
-every float with 17 significant digits, so serialize -> parse is
+Reports are compact JSON (no whitespace, keys in insertion order) from
+the standard library encoder, which writes each float as the shortest
+decimal that parses back to the same float64.  So serialize -> parse is
 value-lossless and parse -> serialize is byte-identical.
 """
 
@@ -166,54 +167,41 @@ def load_labels(path: str | Path) -> np.ndarray:
 # reports
 
 
-def _emit(obj: Any, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise ValidationError(f"report keys must be strings, got {key!r}")
-            out.append(f'{pad}  {json.dumps(key)}: ')
-            _emit(val, indent + 1, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, val in enumerate(seq):
-            out.append(pad + "  ")
-            _emit(val, indent + 1, out)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if x != x or x in (float("inf"), float("-inf")):
-            raise ValidationError(f"non-finite float {x!r} cannot enter a report")
-        out.append(format_float(x))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif obj is None:
-        out.append("null")
-    else:
-        raise ValidationError(f"unsupported report value of type {type(obj).__name__}")
+def _numpy_scalar(obj: Any):
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise ValidationError(f"unsupported report value of type {type(obj).__name__}")
+
+
+def _check_keys(obj: Any) -> None:
+    # The encoder would silently turn int, float, bool and None keys into
+    # strings, which then parse back as different keys.
+    stack = [obj]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, dict):
+            for key in obj:
+                if not isinstance(key, str):
+                    raise ValidationError(f"report keys must be strings, got {key!r}")
+            stack.extend(v for v in obj.values() if isinstance(v, (dict, list, tuple)))
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(v for v in obj if isinstance(v, (dict, list, tuple)))
 
 
 def serialize_report(doc: dict) -> str:
-    """Deterministic JSON text: insertion-ordered keys, floats at 17 digits."""
-    out: list[str] = []
-    _emit(doc, 0, out)
-    out.append("\n")
-    return "".join(out)
+    """Deterministic compact JSON text with insertion-ordered keys.
+
+    Non-finite floats, non-string keys and values JSON cannot hold raise
+    :class:`ValidationError`; numpy scalars are written as Python ones.
+    """
+    try:
+        text = json.dumps(
+            doc, separators=(",", ":"), allow_nan=False, default=_numpy_scalar
+        )
+    except (TypeError, ValueError) as exc:  # TypeError: a key of unsupported type
+        raise ValidationError(str(exc)) from None
+    _check_keys(doc)  # after the encoder has ruled out reference cycles
+    return text + "\n"
 
 
 def parse_report(text: str) -> dict:

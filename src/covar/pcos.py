@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
+from .decomposition import EpsilonPolicy, g_coefficient
 from .errors import DomainError
-from .stats import PredictionStats, ProbabilityBatch, compute_stats
+from .stats import BatchStats, ProbabilityBatch, compute_stats
 
 __all__ = [
     "DEFAULT_LAMBDA",
@@ -128,7 +128,7 @@ class ReliabilityWeights:
 # embedding
 
 
-def embed(batch_stats: Sequence[PredictionStats], kind: str = "theory") -> EmbeddingMatrix:
+def embed(batch_stats: BatchStats, kind: str = "theory") -> EmbeddingMatrix:
     """Stack per-sample statistics into the 2 x N embedding matrix.
 
     theory: row 0 = log p(k') (confidence reward, <= 0),
@@ -143,14 +143,11 @@ def embed(batch_stats: Sequence[PredictionStats], kind: str = "theory") -> Embed
     if n < 2:
         raise DomainError(f"need at least 2 samples to partition, got {n}")
     if kind == "raw":
-        phi = np.empty((2, n))
-        phi[0] = [s.max_conf for s in batch_stats]
-        phi[1] = [s.rcv for s in batch_stats]
+        phi = np.vstack([batch_stats.max_conf, batch_stats.rcv])
     elif kind == "theory":
-        k = batch_stats[0].n_classes
-        conf = np.array([s.safe_conf for s in batch_stats])
-        v = np.array([s.rcv for s in batch_stats])
-        phi = np.vstack([np.log(conf), -((k - 1) ** 2) / (2.0 * (1.0 - conf)) * v])
+        conf = batch_stats.safe_conf
+        g = g_coefficient(conf, batch_stats.n_classes, EpsilonPolicy.adaptive())
+        phi = np.vstack([np.log(conf), -g * batch_stats.rcv])
     else:
         raise DomainError(f"unknown embedding kind {kind!r}")
     phi.setflags(write=False)
@@ -279,6 +276,11 @@ def spectral_assign(phi) -> SpectralAssignment:
         raise DomainError("need at least 2 samples")
     if not np.all(np.isfinite(arr)):
         raise DomainError("phi contains non-finite entries")
+    # The gram squares the entries, so bring max|phi| into [0.5, 1) first
+    # to keep it clear of overflow and underflow.  Dividing by a power of
+    # two is exact, so the assignment and scores do not depend on scale.
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(arr).max()))[1])
+    arr = arr / scale
     a = float(arr[0] @ arr[0])
     b = float(arr[0] @ arr[1])
     c = float(arr[1] @ arr[1])
@@ -296,13 +298,15 @@ def spectral_assign(phi) -> SpectralAssignment:
     else:
         scores[1] = (w2 @ arr) / sigma[1]
         assignment = (np.abs(scores[1]) > np.abs(scores[0])).astype(np.int64)
+    if not np.all(np.isfinite(scores)):
+        raise DomainError("phi is too ill-conditioned for finite spectral scores")
     scores.setflags(write=False)
     assignment.setflags(write=False)
     return SpectralAssignment(
         assignment=assignment,
         rank_deficient=rank_deficient,
         isotropic=isotropic,
-        singular_values=sigma,
+        singular_values=sigma * scale,
         left_vectors=np.vstack([w1, w2]),
         scores=scores,
     )

@@ -24,7 +24,7 @@ import numpy as np
 from .baseline import ClassRetention, ThresholdPolicy, ece, retention_from_mask, threshold_select
 from .errors import DomainError
 from .pcos import DEFAULT_LAMBDA, pcos
-from .stats import ProbabilityBatch, _stats_arrays
+from .stats import ProbabilityBatch, compute_stats
 
 __all__ = [
     "SyntheticConfig",
@@ -186,11 +186,11 @@ def evaluate_policies(
     the same for every policy.
     """
     y = np.asarray(true_labels)
-    max_class, max_conf, *_ = _stats_arrays(batch)
-    if y.shape != max_class.shape:
+    stats = compute_stats(batch)
+    if y.shape != stats.max_class.shape:
         raise DomainError("true_labels length must match the batch")
-    correct = max_class == y
-    cal = ece(max_conf, correct, n_bins=15).ece
+    correct = stats.max_class == y
+    cal = ece(stats.max_conf, correct, n_bins=15).ece
 
     out = []
     for policy in policies:

@@ -18,7 +18,9 @@ only while rho < 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,6 +33,7 @@ __all__ = [
     "ROW_SUM_REJECT",
     "ProbabilityBatch",
     "PredictionStats",
+    "BatchStats",
     "IdealDistribution",
     "compute_stats",
     "exact_ce",
@@ -138,11 +141,55 @@ class PredictionStats:
         return min(self.max_conf, CONF_CEILING)
 
 
-def _stats_arrays(batch: ProbabilityBatch):
-    """Vectorized core of :func:`compute_stats`.
+@dataclass(frozen=True, eq=False)
+class BatchStats(Sequence[PredictionStats]):
+    """:class:`PredictionStats` of a whole batch, one read-only array per field.
 
-    Returns (max_class, max_conf, mu, residuals, deviations, rcv, rho,
-    degenerate) as arrays; residuals and deviations have shape (N, K-1).
+    ``residuals`` and ``deviations`` have shape (N, K-1); every other
+    column has shape (N,).  The batch is also a sequence of per-row
+    :class:`PredictionStats`, each built only when indexed or iterated.
+    """
+
+    max_class: np.ndarray
+    max_conf: np.ndarray
+    residual_mean: np.ndarray
+    residuals: np.ndarray
+    deviations: np.ndarray
+    rcv: np.ndarray
+    rho: np.ndarray
+    degenerate: np.ndarray
+    n_classes: int
+
+    @property
+    def safe_conf(self) -> np.ndarray:
+        """Max confidence clamped to ``CONF_CEILING`` for 1-p denominators."""
+        return np.minimum(self.max_conf, CONF_CEILING)
+
+    def __len__(self) -> int:
+        return self.max_conf.shape[0]
+
+    def __getitem__(self, i: int) -> PredictionStats:
+        i = range(len(self))[operator.index(i)]
+        return next(self._rows(i, i + 1))
+
+    def __iter__(self) -> Iterator[PredictionStats]:
+        return self._rows(0, len(self))
+
+    def _rows(self, start: int, stop: int) -> Iterator[PredictionStats]:
+        # The columns are declared in PredictionStats order, n_classes last.
+        columns = [getattr(self, f.name) for f in fields(self)[:-1]]
+        # 1-d columns go through tolist() so rows hold Python scalars.
+        parts = [c[start:stop] if c.ndim == 2 else c[start:stop].tolist() for c in columns]
+        for row in zip(*parts):
+            yield PredictionStats(*row, self.n_classes)
+
+
+def compute_stats(batch: ProbabilityBatch) -> BatchStats:
+    """Compute the per-row statistics of the batch as columns.
+
+    Ties in the argmax resolve to the lowest class index.  Rows with
+    max confidence at or above 1 - 1e-12 come back flagged degenerate,
+    with rho reported as 0 when the residual mean underflows to zero.
     """
     vals = batch.values
     n, k = vals.shape
@@ -165,47 +212,10 @@ def _stats_arrays(batch: ProbabilityBatch):
     degenerate = max_conf >= 1.0 - ONE_HOT_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = np.where(mu > 0.0, max_abs_dev / np.where(mu > 0.0, mu, 1.0), 0.0)
-    return max_class, max_conf, mu, residuals, deviations, rcv, rho, degenerate
-
-
-def compute_stats(batch: ProbabilityBatch) -> list[PredictionStats]:
-    """Compute :class:`PredictionStats` for every row of the batch.
-
-    Ties in the argmax resolve to the lowest class index.  Rows with
-    max confidence at or above 1 - 1e-12 come back flagged degenerate,
-    with rho reported as 0 when the residual mean underflows to zero.
-    """
-    (
-        max_class,
-        max_conf,
-        mu,
-        residuals,
-        deviations,
-        rcv,
-        rho,
-        degenerate,
-    ) = _stats_arrays(batch)
-    k = batch.n_classes
-    out = []
-    for i in range(batch.n_samples):
-        res = residuals[i]
-        res.setflags(write=False)
-        dev = deviations[i]
-        dev.setflags(write=False)
-        out.append(
-            PredictionStats(
-                max_class=int(max_class[i]),
-                max_conf=float(max_conf[i]),
-                residual_mean=float(mu[i]),
-                residuals=res,
-                deviations=dev,
-                rcv=float(rcv[i]),
-                rho=float(rho[i]),
-                degenerate=bool(degenerate[i]),
-                n_classes=k,
-            )
-        )
-    return out
+    columns = (max_class, max_conf, mu, residuals, deviations, rcv, rho, degenerate)
+    for col in columns:
+        col.setflags(write=False)
+    return BatchStats(*columns, n_classes=k)
 
 
 @dataclass(frozen=True)

@@ -242,6 +242,23 @@ def test_grid_emit_file(capsys, tmp_path):
 def test_grid_bad_ranges(capsys):
     code, _, err = run(capsys, "grid", "--p-min", "0.9", "--p-max", "0.5")
     assert code == 2 and "p-min" in err
+    # p must stay inside [1/K, CONF_CEILING], where g is defined
+    for bounds in (("--p-min", "0.01"), ("--p-max", "0.9999999")):
+        code, _, err = run(capsys, "grid", "--k", "21", *bounds)
+        assert code == 2 and "outside" in err
+
+
+def test_near_uniform_row_decomposes_and_selects(capsys, tmp_path):
+    # sums to 1 - 5e-10, inside the window rows are kept untouched in, so
+    # its max entry sits below 1/K by more than roundoff
+    rows = np.array([[0.2 * (1.0 - 5e-10)] * 5, [0.6, 0.1, 0.1, 0.1, 0.1]])
+    path = tmp_path / "flat.csv"
+    save_matrix(ProbabilityBatch.from_array(rows), path)
+    assert load_matrix(path).values[0, 0] < 0.2 * (1.0 - 1e-12)
+    for command in ("decompose", "select"):
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code == 0 and err == ""
+        assert parse_report(out)["samples"][0]["max_conf"] == rows[0, 0]
 
 
 def test_missing_and_malformed_inputs(capsys, tmp_path):

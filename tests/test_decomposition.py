@@ -278,3 +278,9 @@ def test_batch_accepts_degenerate_rows_and_rejects_empty():
     )
     with pytest.raises(DomainError):
         decompose_batch([], ADAPTIVE)
+
+
+def test_batch_names_sample_with_infinite_ce():
+    rows = np.array([[0.5, 0.3, 0.2], [0.9, 0.1, 0.0]])
+    with pytest.raises(InfiniteCrossEntropyError, match="sample 1"):
+        decompose_batch(compute_stats(ProbabilityBatch.from_array(rows)), ADAPTIVE)

@@ -206,21 +206,7 @@ FROZEN_DOC = {
     "elist": [],
 }
 
-FROZEN_TEXT = """{
-  "b": 1,
-  "a": [
-    1.5,
-    true,
-    null,
-    "x"
-  ],
-  "nested": {
-    "z": 3.0
-  },
-  "empty": {},
-  "elist": []
-}
-"""
+FROZEN_TEXT = '{"b":1,"a":[1.5,true,null,"x"],"nested":{"z":3.0},"empty":{},"elist":[]}\n'
 
 
 def test_serialize_report_frozen_layout():

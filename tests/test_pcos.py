@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -28,6 +28,7 @@ from covar.pcos import (
 from covar.stats import ProbabilityBatch, compute_stats
 
 E1E1E2 = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+UNIT_PHI = np.random.default_rng(3).normal(size=(2, 17))
 
 
 def phi_strategy(max_n=12):
@@ -42,8 +43,8 @@ def phi_strategy(max_n=12):
 
 
 def test_embed_theory_reference_column():
-    s = compute_stats(batch_of([0.7, 0.2, 0.1]))
-    em = embed(s * 2, kind="theory")
+    s = compute_stats(batch_of([[0.7, 0.2, 0.1]] * 2))
+    em = embed(s, kind="theory")
     np.testing.assert_allclose(
         em.phi[:, 0], [math.log(0.7), -20.0 / 3.0 * 0.0025], rtol=1e-12
     )
@@ -51,8 +52,8 @@ def test_embed_theory_reference_column():
 
 
 def test_embed_raw_reference_column():
-    s = compute_stats(batch_of([0.7, 0.2, 0.1]))
-    em = embed(s * 2, kind="raw")
+    s = compute_stats(batch_of([[0.7, 0.2, 0.1]] * 2))
+    em = embed(s, kind="raw")
     np.testing.assert_allclose(em.phi[:, 0], [0.7, 0.0025], rtol=1e-12)
 
 
@@ -61,7 +62,7 @@ def test_embed_needs_two_samples_and_known_kind():
     with pytest.raises(DomainError):
         embed(s, kind="theory")
     with pytest.raises(DomainError):
-        embed(s * 2, kind="zscore")
+        embed(compute_stats(batch_of([[0.7, 0.2, 0.1]] * 2)), kind="zscore")
 
 
 def test_embed_handles_one_hot_rows():
@@ -168,12 +169,14 @@ def test_spectral_rejects_zero_and_nonfinite():
 
 
 def test_spectral_scale_and_sign_invariance():
-    rng = np.random.default_rng(3)
-    phi = rng.normal(size=(2, 17))
-    base = spectral_assign(phi).assignment
-    for c in (0.25, 4.0, 1024.0):
-        np.testing.assert_array_equal(spectral_assign(c * phi).assignment, base)
-    np.testing.assert_array_equal(spectral_assign(-phi).assignment, base)
+    phi = UNIT_PHI
+    base = spectral_assign(phi)
+    # the extreme scales would overflow or underflow an unscaled gram
+    for c in (0.25, 4.0, 1024.0, 1e100, 1e-100, 1e160, 1e-170):
+        sp = spectral_assign(c * phi)
+        np.testing.assert_array_equal(sp.assignment, base.assignment)
+        np.testing.assert_allclose(sp.singular_values, c * base.singular_values, rtol=1e-12)
+    np.testing.assert_array_equal(spectral_assign(-phi).assignment, base.assignment)
 
 
 def _reference_spectral(phi):
@@ -187,6 +190,9 @@ def _reference_spectral(phi):
 
 
 @given(phi_strategy(max_n=40), st.integers(0, 2**31))
+@example(np.array([[0.0, 1.312e-82], [1.312e-82, 1.312e-82]]), 0)
+@example(UNIT_PHI * 1e100, 0)
+@example(UNIT_PHI * 1e-100, 0)
 @settings(max_examples=100)
 def test_spectral_agrees_with_library_eigendecomposition(phi, seed):
     gram = phi @ phi.T

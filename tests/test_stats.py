@@ -119,10 +119,22 @@ def test_batch_values_are_read_only():
         b.values[0, 0] = 0.5
 
 
+SCALAR_FIELDS = ("max_class", "max_conf", "residual_mean", "rcv", "rho", "degenerate")
+
+
 @given(simplex_rows())
 def test_stats_invariants(rows):
     batch = ProbabilityBatch.from_array(rows)
-    for i, s in enumerate(compute_stats(batch)):
+    stats = compute_stats(batch)
+    assert len(stats) == batch.n_samples
+    for name in SCALAR_FIELDS + ("residuals", "deviations"):
+        assert not getattr(stats, name).flags.writeable
+    for i, s in enumerate(stats):
+        # iterating, indexing and reading the columns agree
+        for name in SCALAR_FIELDS:
+            assert getattr(s, name) == getattr(stats[i], name) == getattr(stats, name)[i]
+        np.testing.assert_array_equal(stats[i].residuals, stats.residuals[i])
+        np.testing.assert_array_equal(stats[i].deviations, stats.deviations[i])
         assert 0 <= s.max_class < s.n_classes
         assert s.max_conf >= s.residual_mean  # argmax dominates the mean
         assert s.rcv >= 0.0
