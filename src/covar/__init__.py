@@ -30,6 +30,7 @@ from .stats import (
 from .decomposition import (
     BatchDecomposition,
     CEDecomposition,
+    DecompositionColumns,
     EpsilonPolicy,
     decompose_batch,
     decompose_sample,
@@ -98,6 +99,7 @@ __all__ = [
     # decomposition
     "EpsilonPolicy",
     "CEDecomposition",
+    "DecompositionColumns",
     "BatchDecomposition",
     "taylor_log_expand",
     "g_coefficient",

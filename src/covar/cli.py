@@ -106,15 +106,15 @@ def _cmd_decompose(args) -> dict:
         rcv=sts.rcv,
         rho=sts.rho,
         degenerate=sts.degenerate,
-        epsilon=[d.epsilon for d in per],
-        g_coeff=[d.g_coeff for d in per],
-        exact_ce=[d.exact_ce for d in per],
-        approx_ce=[d.approx_ce for d in per],
-        middle_term=[d.middle_term for d in per],
-        f_term=[d.f_term for d in per],
-        remainder_bound=[_fin(d.remainder_bound) for d in per],
-        remainder_actual=[d.remainder_actual for d in per],
-        assumption_ok=[d.assumption_ok for d in per],
+        epsilon=per.epsilon,
+        g_coeff=per.g_coeff,
+        exact_ce=per.exact_ce,
+        approx_ce=per.approx_ce,
+        middle_term=per.middle_term,
+        f_term=per.f_term,
+        remainder_bound=[_fin(b) for b in per.remainder_bound.tolist()],
+        remainder_actual=per.remainder_actual,
+        assumption_ok=per.assumption_ok,
     )
     return _report(
         "decompose",

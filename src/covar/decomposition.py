@@ -37,16 +37,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import ClassVar, Literal, Sequence
 
 import numpy as np
 
 from .errors import AssumptionViolation, DomainError, InfiniteCrossEntropyError
-from .stats import CONF_CEILING, ROW_SUM_ACCEPT, BatchStats, PredictionStats
+from .stats import CONF_CEILING, ROW_SUM_ACCEPT, BatchStats, PredictionStats, RowColumns
 
 __all__ = [
     "EpsilonPolicy",
     "CEDecomposition",
+    "DecompositionColumns",
     "BatchDecomposition",
     "taylor_log_expand",
     "g_coefficient",
@@ -118,6 +119,24 @@ class CEDecomposition:
     epsilon: float
 
 
+@dataclass(frozen=True, eq=False)
+class DecompositionColumns(RowColumns[CEDecomposition]):
+    """:class:`CEDecomposition` of a whole batch, one read-only (N,) array
+    per field; also a sequence of per-row records built on demand."""
+
+    row_type: ClassVar[type] = CEDecomposition
+
+    exact_ce: np.ndarray
+    f_term: np.ndarray
+    g_coeff: np.ndarray
+    middle_term: np.ndarray
+    approx_ce: np.ndarray
+    remainder_bound: np.ndarray
+    remainder_actual: np.ndarray
+    assumption_ok: np.ndarray
+    epsilon: np.ndarray
+
+
 @dataclass(frozen=True)
 class BatchDecomposition:
     """Batch-mean view: CE_B ~ -mc_bar + g_bar * v_bar + cov_gv.
@@ -127,7 +146,8 @@ class BatchDecomposition:
     mean(g v) = srcv + cov_gv is algebraic.  ``lower_bound`` is the mean
     of -log p(k') + (K-1)^2/(2(1-p(k'))) v; under the adaptive policy
     batch_ce >= lower_bound - remainder_batch_bound.  ``samples`` holds the
-    per-sample decompositions the means were taken over, in input order.
+    per-sample decompositions the means were taken over, in input order,
+    as columns.
     """
 
     mc_bar: float
@@ -139,7 +159,7 @@ class BatchDecomposition:
     lower_bound: float
     remainder_batch_bound: float
     n_samples: int
-    samples: tuple[CEDecomposition, ...] = field(repr=False)
+    samples: DecompositionColumns = field(repr=False)
 
 
 def taylor_log_expand(p_k: float, mu: float, rho: float) -> tuple[float, float]:
@@ -191,13 +211,32 @@ def g_coefficient(max_conf, n_classes: int, policy: EpsilonPolicy):
     return (k - 1) ** 3 * eps / (2.0 * (1.0 - max_conf) ** 2)
 
 
+# log1p(t) - t + t^2/2 = t^3 sum_{j>=0} (-1)^j t^j / (j + 3).  Evaluated
+# through log1p, the tail carries the rounding error of log1p(t), about
+# ulp(t): a relative error of ~3 * 2^-52 / t^2, which is 3 * 2^-38 at
+# |t| = _TAIL_CUT and swamps the tail entirely once |t| < 2^-26.  Below
+# the cut the series is summed instead; its eight terms leave a
+# truncation error under t^11/11, below half an ulp of t^3/3 there.
+_TAIL_CUT = 2.0**-7
+_TAIL_COEFFS = tuple((-1) ** j / (j + 3) for j in range(8))
+
+
+def _tail_series(t):
+    """t^3 (1/3 - t/4 + ... - t^7/10) by Horner's rule; float or array."""
+    acc = _TAIL_COEFFS[-1]
+    for c in _TAIL_COEFFS[-2::-1]:
+        acc = acc * t + c
+    return t * t * t * acc
+
+
 def _remainder_series(residuals, deviations, mu: float, eps: float) -> float:
     """exact_ce - approx_ce evaluated without catastrophic cancellation.
 
     Algebraically the remainder is -eps * sum_k (log1p(t_k) - t_k + t_k^2/2)
     with t_k = d_k / mu; summing the third-order tails directly keeps full
     relative precision even when the deviations are tiny, where the naive
-    difference of two O(1) cross-entropies would be pure roundoff.  Far
+    difference of two O(1) cross-entropies would be pure roundoff.  For
+    |t| < 2^-7 each tail is summed as its power series instead.  Far
     below the mean the stored deviation saturates at exactly -mu (p - mu
     rounds there once p < ulp(mu)), so the log switches to the raw
     probability ratio, which stays exact in that regime.
@@ -205,11 +244,18 @@ def _remainder_series(residuals, deviations, mu: float, eps: float) -> float:
     acc = 0.0
     for r, d in zip(residuals, deviations):
         t = float(d) / mu
-        if t > -0.5:
-            acc += math.log1p(t) - t + 0.5 * t * t
+        if abs(t) < _TAIL_CUT:
+            acc += _tail_series(t)
         else:
-            acc += math.log(float(r) / mu) - t + 0.5 * t * t
+            log_ratio = math.log1p(t) if t > -0.5 else math.log(float(r) / mu)
+            acc += log_ratio - t + 0.5 * t * t
     return -eps * acc
+
+
+_ZERO_RESIDUAL = (
+    "a residual class has probability exactly 0 while the "
+    "smoothed target puts mass on every class"
+)
 
 
 def decompose_sample(
@@ -221,9 +267,10 @@ def decompose_sample(
 ) -> CEDecomposition:
     """Decompose one sample's cross-entropy against its ideal target.
 
-    Degenerate (near one-hot) rows are canonicalized to confidence
-    1 - 1e-6 with uniform residuals when ``clamp_degenerate`` is on, which
-    keeps every field finite; with clamping disabled they raise.
+    This is the scalar reference for :func:`decompose_batch`, in plain
+    Python floats.  Degenerate (near one-hot) rows are canonicalized to
+    confidence 1 - 1e-6 with uniform residuals when ``clamp_degenerate`` is
+    on, which keeps every field finite; with clamping disabled they raise.
     """
     k = stats.n_classes
     if stats.degenerate:
@@ -254,10 +301,7 @@ def decompose_sample(
     log_p = math.log(p)
     if len(residuals) > 0:
         if not all(r > 0.0 for r in residuals):
-            raise InfiniteCrossEntropyError(
-                "a residual class has probability exactly 0 while the "
-                "smoothed target puts mass on every class"
-            )
+            raise InfiniteCrossEntropyError(_ZERO_RESIDUAL)
         resid_logs = math.fsum(math.log(r) for r in residuals)
     else:
         resid_logs = (k - 1) * math.log(mu) if mu > 0.0 else 0.0
@@ -308,39 +352,85 @@ def decompose_batch(
 ) -> BatchDecomposition:
     """Decompose every sample and aggregate the results into batch means.
 
-    All means use compensated (fsum) summation in input order, so results
-    are deterministic for a given input.  The covariance is population
-    normalized (1/N), which is what makes
-    mean(g v) = g_bar v_bar + cov_gv exact.  A sample with infinite cross
-    entropy raises :class:`InfiniteCrossEntropyError` naming its index.
+    Computes what :func:`decompose_sample` computes for each row (degenerate
+    rows clamped), as whole-batch numpy columns.  All means use compensated
+    (fsum) summation in input order, so results are deterministic for a
+    given input.  The covariance is population normalized (1/N), which is
+    what makes mean(g v) = g_bar v_bar + cov_gv exact.  A sample with
+    infinite cross entropy raises :class:`InfiniteCrossEntropyError`
+    naming its index.
     """
     n = len(batch_stats)
     if n == 0:
         raise DomainError("cannot decompose an empty batch")
-    per = []
-    for i, s in enumerate(batch_stats):
-        try:
-            per.append(decompose_sample(s, policy, paper_literal=paper_literal))
-        except InfiniteCrossEntropyError as exc:
-            raise InfiniteCrossEntropyError(f"sample {i}: {exc}") from None
-    gs = np.array([d.g_coeff for d in per])
-    # v as used inside each decomposition: zero for clamped degenerate rows.
+    k = batch_stats.n_classes
     degenerate = batch_stats.degenerate
-    vs = np.where(degenerate, 0.0, batch_stats.rcv)
-    mc_bar = math.fsum(d.f_term for d in per) / n
-    g_bar = math.fsum(gs.tolist()) / n
-    v_bar = math.fsum(vs.tolist()) / n
-    cov = math.fsum(((gs - g_bar) * (vs - v_bar)).tolist()) / n
-    batch_ce = math.fsum(d.exact_ce for d in per) / n
-
-    # -log p at the confidence the exact CE actually used; the clamp only
-    # enters the 1-p denominator.
     safe_conf = batch_stats.safe_conf
-    p_log = np.where(degenerate, safe_conf, batch_stats.max_conf)
-    neg_log = np.array([-math.log(p) for p in p_log.tolist()])
-    g_adaptive = g_coefficient(safe_conf, batch_stats.n_classes, EpsilonPolicy.adaptive())
-    lower = math.fsum((neg_log + g_adaptive * vs).tolist()) / n
-    rem_bound = math.fsum(d.remainder_bound for d in per) / n
+    # Degenerate rows are canonicalized as in decompose_sample: confidence
+    # 1 - 1e-6 with uniform residuals, so v = rho = 0.
+    p = np.where(degenerate, safe_conf, batch_stats.max_conf)
+    mu = np.where(degenerate, (1.0 - p) / (k - 1), batch_stats.residual_mean)
+    v = np.where(degenerate, 0.0, batch_stats.rcv)
+    rho = np.where(degenerate, 0.0, batch_stats.rho)
+    eps = np.full(n, policy.resolve(mu, k))  # mu, or the checked fixed value
+    g = g_coefficient(safe_conf, k, policy)
+
+    residuals = batch_stats.residuals
+    zero = ~(residuals > 0.0).all(axis=1) & ~degenerate
+    if zero.any():
+        raise InfiniteCrossEntropyError(f"sample {int(zero.argmax())}: {_ZERO_RESIDUAL}")
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = np.log(p)
+        resid_logs = np.where(
+            degenerate, (k - 1) * np.log(mu), np.log(residuals).sum(axis=1)
+        )
+        exact = -(1.0 - (k - 1) * eps) * log_p - eps * resid_logs
+        middle = (k - 1) * eps * np.log(p / mu)
+        gv = g * v
+        approx_certified = -log_p + middle + gv
+        if paper_literal:
+            f = log_p + (k - 1) * eps * np.log(p / (1.0 - p))
+            approx = -f + gv
+        else:
+            approx = approx_certified
+            f = log_p - middle
+
+        assumption_ok = rho < 1.0
+        certified = (k - 1) ** 1.5 * eps / (3.0 * (1.0 - rho) ** 3 * mu**3) * v**1.5
+        bound = np.where(v == 0.0, 0.0, np.where(assumption_ok, certified, math.inf))
+
+        mu_col = mu[:, None]
+        t = batch_stats.deviations / mu_col
+        log_ratio = np.where(t > -0.5, np.log1p(t), np.log(residuals / mu_col))
+        tails = log_ratio - t + 0.5 * t * t
+        small = np.abs(t) < _TAIL_CUT
+        if small.any():
+            tails[small] = _tail_series(t[small])
+        series = -eps * tails.sum(axis=1)
+    remainder = np.where(v == 0.0, 0.0, series)
+    if paper_literal:
+        remainder += approx_certified - approx
+
+    samples = DecompositionColumns(
+        exact_ce=exact,
+        f_term=f,
+        g_coeff=g,
+        middle_term=middle,
+        approx_ce=approx,
+        remainder_bound=bound,
+        remainder_actual=remainder,
+        assumption_ok=assumption_ok,
+        epsilon=eps,
+    )
+    mc_bar = math.fsum(f.tolist()) / n
+    g_bar = math.fsum(g.tolist()) / n
+    v_bar = math.fsum(v.tolist()) / n
+    cov = math.fsum(((g - g_bar) * (v - v_bar)).tolist()) / n
+    # The lower bound uses the adaptive g whatever the policy, and -log p
+    # at the confidence the exact CE used; the clamp only enters 1 - p.
+    g_adaptive = g_coefficient(safe_conf, k, EpsilonPolicy.adaptive())
+    lower = math.fsum((-log_p + g_adaptive * v).tolist()) / n
 
     return BatchDecomposition(
         mc_bar=mc_bar,
@@ -348,9 +438,9 @@ def decompose_batch(
         v_bar=v_bar,
         srcv=g_bar * v_bar,
         cov_gv=cov,
-        batch_ce=batch_ce,
+        batch_ce=math.fsum(exact.tolist()) / n,
         lower_bound=lower,
-        remainder_batch_bound=rem_bound,
+        remainder_batch_bound=math.fsum(bound.tolist()) / n,
         n_samples=n,
-        samples=tuple(per),
+        samples=samples,
     )

@@ -21,6 +21,8 @@ import math
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
+from itertools import repeat
+from typing import ClassVar, TypeVar
 
 import numpy as np
 
@@ -33,6 +35,7 @@ __all__ = [
     "ROW_SUM_REJECT",
     "ProbabilityBatch",
     "PredictionStats",
+    "RowColumns",
     "BatchStats",
     "IdealDistribution",
     "compute_stats",
@@ -141,14 +144,67 @@ class PredictionStats:
         return min(self.max_conf, CONF_CEILING)
 
 
+R = TypeVar("R")
+
+
+class RowColumns(Sequence[R]):
+    """Base of a frozen dataclass holding one read-only column per field of
+    the record type ``row_type``.
+
+    Fields whose value is not an array (such as ``n_classes``) are shared
+    by every row.  The columns are marked read-only on construction, and
+    the instance is also a sequence of ``row_type`` records, each built
+    only when indexed or iterated.
+    """
+
+    row_type: ClassVar[type]
+    _names: ClassVar[tuple[str, ...]]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._names = tuple(f.name for f in fields(cls.row_type))
+
+    def __post_init__(self) -> None:
+        for name in self._names:
+            col = getattr(self, name)
+            if isinstance(col, np.ndarray):
+                col.setflags(write=False)
+
+    def __len__(self) -> int:
+        # The first field of every record type is a per-row column.
+        return getattr(self, self._names[0]).shape[0]
+
+    def __getitem__(self, i: int) -> R:
+        i = range(len(self))[operator.index(i)]
+        return next(self._rows(i, i + 1))
+
+    def __iter__(self) -> Iterator[R]:
+        return self._rows(0, len(self))
+
+    def _rows(self, start: int, stop: int) -> Iterator[R]:
+        parts = []
+        for name in self._names:
+            col = getattr(self, name)
+            if not isinstance(col, np.ndarray):
+                parts.append(repeat(col))
+            elif col.ndim == 2:
+                parts.append(col[start:stop])
+            else:  # tolist() so rows hold Python scalars
+                parts.append(col[start:stop].tolist())
+        for row in zip(*parts):
+            yield self.row_type(*row)
+
+
 @dataclass(frozen=True, eq=False)
-class BatchStats(Sequence[PredictionStats]):
+class BatchStats(RowColumns[PredictionStats]):
     """:class:`PredictionStats` of a whole batch, one read-only array per field.
 
     ``residuals`` and ``deviations`` have shape (N, K-1); every other
     column has shape (N,).  The batch is also a sequence of per-row
     :class:`PredictionStats`, each built only when indexed or iterated.
     """
+
+    row_type: ClassVar[type] = PredictionStats
 
     max_class: np.ndarray
     max_conf: np.ndarray
@@ -164,24 +220,6 @@ class BatchStats(Sequence[PredictionStats]):
     def safe_conf(self) -> np.ndarray:
         """Max confidence clamped to ``CONF_CEILING`` for 1-p denominators."""
         return np.minimum(self.max_conf, CONF_CEILING)
-
-    def __len__(self) -> int:
-        return self.max_conf.shape[0]
-
-    def __getitem__(self, i: int) -> PredictionStats:
-        i = range(len(self))[operator.index(i)]
-        return next(self._rows(i, i + 1))
-
-    def __iter__(self) -> Iterator[PredictionStats]:
-        return self._rows(0, len(self))
-
-    def _rows(self, start: int, stop: int) -> Iterator[PredictionStats]:
-        # The columns are declared in PredictionStats order, n_classes last.
-        columns = [getattr(self, f.name) for f in fields(self)[:-1]]
-        # 1-d columns go through tolist() so rows hold Python scalars.
-        parts = [c[start:stop] if c.ndim == 2 else c[start:stop].tolist() for c in columns]
-        for row in zip(*parts):
-            yield PredictionStats(*row, self.n_classes)
 
 
 def compute_stats(batch: ProbabilityBatch) -> BatchStats:
@@ -212,10 +250,9 @@ def compute_stats(batch: ProbabilityBatch) -> BatchStats:
     degenerate = max_conf >= 1.0 - ONE_HOT_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = np.where(mu > 0.0, max_abs_dev / np.where(mu > 0.0, mu, 1.0), 0.0)
-    columns = (max_class, max_conf, mu, residuals, deviations, rcv, rho, degenerate)
-    for col in columns:
-        col.setflags(write=False)
-    return BatchStats(*columns, n_classes=k)
+    return BatchStats(
+        max_class, max_conf, mu, residuals, deviations, rcv, rho, degenerate, n_classes=k
+    )
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Cross-entropy decomposition: expansion, remainder certificate, batch view."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import batch_of, confident_rows, simplex_rows
 from covar.decomposition import (
+    CEDecomposition,
     EpsilonPolicy,
     decompose_batch,
     decompose_sample,
@@ -221,6 +223,26 @@ def test_remainder_certificate_property(row):
         assert abs(d.remainder_actual) <= d.remainder_bound * (1 + 1e-9) + 1e-15
 
 
+def test_uniform_residual_rows_meet_certificate():
+    """Rows like [0.8, 0.1, 0.1] have deviations of one rounding error, so
+    v is ~1e-33 and the bound ~1e-48; the remainder must still stay below
+    it, with no slack (log1p(t) - t + t^2/2 there is pure roundoff)."""
+    perturbed = total = 0
+    for k in range(3, 11):
+        ps = [p for p in np.arange(0.35, 1.0, 0.05).round(2).tolist() + [0.99] if p > 1 / k]
+        rows = np.array([[p] + [round((1 - p) / (k - 1), 12)] * (k - 1) for p in ps])
+        stats = compute_stats(ProbabilityBatch.from_array(rows))
+        perturbed += int((stats.rcv > 0.0).sum())
+        total += len(stats)
+        for policy in (ADAPTIVE, EpsilonPolicy.fixed(0.01)):
+            batch = decompose_batch(stats, policy).samples
+            for s, d_batch in zip(stats, batch):
+                for d in (decompose_sample(s, policy), d_batch):
+                    assert d.assumption_ok
+                    assert abs(d.remainder_actual) <= d.remainder_bound
+    assert perturbed >= total / 2  # most rows carry a roundoff variance
+
+
 @given(simplex_rows(min_k=3, max_n=4))
 def test_middle_term_nonnegative(rows):
     for s in compute_stats(ProbabilityBatch.from_array(rows)):
@@ -284,3 +306,130 @@ def test_batch_names_sample_with_infinite_ce():
     rows = np.array([[0.5, 0.3, 0.2], [0.9, 0.1, 0.0]])
     with pytest.raises(InfiniteCrossEntropyError, match="sample 1"):
         decompose_batch(compute_stats(ProbabilityBatch.from_array(rows)), ADAPTIVE)
+
+
+# --- vectorized kernel against the scalar reference ------------------------
+
+_SUB_ULP = np.array([5.9e-04, 2.1e-28, 4.5e-18, 3.5e-02, 2.6e-14, 0.0])
+_SUB_ULP[-1] = 1.0 - _SUB_ULP.sum()
+EDGE_BATCHES = [
+    np.array(
+        [
+            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # one-hot: degenerate, clamped
+            [1.0 - 1e-8] + [2e-9] * 5,  # near one-hot, not degenerate
+            _SUB_ULP,  # residuals below ulp(mu), rho >= 1
+            [0.5, 0.45, 0.01, 0.01, 0.02, 0.01],  # rho >= 1
+            [0.3, 0.14, 0.14, 0.14, 0.14, 0.14],  # uniform residuals
+        ]
+    ),
+    np.full((1, 5), 0.2 * (1 - 5e-10)),  # near uniform, max below 1/K
+    np.array([[0.9, 0.1], [0.75, 0.25], [0.5, 0.5]]),  # K = 2
+    np.array([[0.8, 0.1, 0.1], [0.7, 0.2, 0.1]]),
+]
+FIELDS = [f.name for f in dataclasses.fields(CEDecomposition)]
+
+
+def assert_kernel_matches_reference(rows, policy, paper_literal):
+    """Every per-row field within 8 ulp of decompose_sample.
+
+    The ulp is taken of the sum of the magnitudes of the terms that make
+    up the field, which is the field itself except for the paper-literal
+    f and approx, whose terms can cancel.  The remainder may move by 1e-9
+    of its bound, plus, in the paper-literal form, 8 ulp of the
+    certified-minus-literal approx difference it carries.
+    """
+    stats = compute_stats(ProbabilityBatch.from_array(rows))
+    cols = decompose_batch(stats, policy, paper_literal=paper_literal).samples
+    for i, s in enumerate(stats):
+        want = decompose_sample(s, policy, paper_literal=paper_literal)
+        got = cols[i]
+        assert got.assumption_ok == want.assumption_ok
+        assert got.epsilon == want.epsilon
+        log_p = math.log(s.safe_conf if s.degenerate else s.max_conf)
+        f_scale = abs(log_p) + abs(want.f_term - log_p)
+        gv = want.g_coeff * (0.0 if s.degenerate else s.rcv)
+        scales = {
+            "exact_ce": abs(want.exact_ce),
+            "f_term": f_scale,
+            "g_coeff": abs(want.g_coeff),
+            "middle_term": abs(want.middle_term),
+            "approx_ce": f_scale + abs(gv),
+            "remainder_bound": abs(want.remainder_bound),
+        }
+        for name, scale in scales.items():
+            a, b = getattr(got, name), getattr(want, name)
+            assert a == b or abs(a - b) <= 8 * math.ulp(scale), (i, name, a, b)
+        if want.assumption_ok:
+            diff = abs(got.remainder_actual - want.remainder_actual)
+            tol = 1e-9 * want.remainder_bound
+            if paper_literal:
+                certified_scale = abs(log_p) + abs(want.middle_term) + abs(gv)
+                tol += 8 * math.ulp(certified_scale + scales["approx_ce"])
+            assert diff <= tol, (i, got, want)
+
+
+POLICY_CASES = [
+    (ADAPTIVE, False),
+    (ADAPTIVE, True),
+    (EpsilonPolicy.fixed(0.01), False),
+    (EpsilonPolicy.fixed(0.01), True),
+]
+
+
+@given(simplex_rows())
+@settings(max_examples=60)
+def test_kernel_matches_reference_on_random_rows(rows):
+    for policy, literal in POLICY_CASES:
+        assert_kernel_matches_reference(rows, policy, literal)
+
+
+@pytest.mark.parametrize("rows", EDGE_BATCHES, ids=["k6-edges", "near-uniform", "k2", "k3"])
+@pytest.mark.parametrize("policy,literal", POLICY_CASES)
+def test_kernel_matches_reference_on_edge_rows(rows, policy, literal):
+    assert_kernel_matches_reference(rows, policy, literal)
+
+
+def test_kernel_errors_match_reference():
+    # sample 1 is one-hot (clamped, no error); sample 2 is the first with
+    # an exact-zero residual
+    rows = np.array([[0.5, 0.3, 0.2], [1.0, 0.0, 0.0], [0.9, 0.1, 0.0], [0.8, 0.2, 0.0]])
+    stats = compute_stats(ProbabilityBatch.from_array(rows))
+    for policy in (ADAPTIVE, EpsilonPolicy.fixed(0.01)):
+        decompose_sample(stats[0], policy)
+        decompose_sample(stats[1], policy)
+        with pytest.raises(InfiniteCrossEntropyError) as scalar:
+            decompose_sample(stats[2], policy)
+        with pytest.raises(InfiniteCrossEntropyError) as batch:
+            decompose_batch(stats, policy)
+        assert str(batch.value) == f"sample 2: {scalar.value}"
+    # fixed eps at or above 1/(K-1)
+    ok = compute_stats(ProbabilityBatch.from_array(rows[:2]))
+    for call in (lambda p: decompose_sample(ok[0], p), lambda p: decompose_batch(ok, p)):
+        with pytest.raises(DomainError):
+            call(EpsilonPolicy.fixed(0.5))
+    # a confidence below 1/K (only reachable in hand-built stats)
+    low = dataclasses.replace(ok, max_conf=np.array([0.5, 0.2]), degenerate=np.array([False, False]))
+    decompose_sample(low[0], ADAPTIVE)
+    for call in (lambda: decompose_sample(low[1], ADAPTIVE), lambda: decompose_batch(low, ADAPTIVE)):
+        with pytest.raises(DomainError, match="max_conf"):
+            call()
+    with pytest.raises(DomainError):
+        decompose_batch([], ADAPTIVE)
+
+
+def test_sample_columns_are_read_only_rows():
+    stats = compute_stats(ProbabilityBatch.from_array(EDGE_BATCHES[0]))
+    cols = decompose_batch(stats, ADAPTIVE).samples
+    assert len(cols) == len(stats)
+    iterated = list(cols)
+    for i in range(len(cols)):
+        from_columns = CEDecomposition(*(getattr(cols, f)[i].item() for f in FIELDS))
+        assert cols[i] == iterated[i] == from_columns
+        assert cols[i - len(cols)] == cols[i]
+    for f in FIELDS:
+        column = getattr(cols, f)
+        assert column.shape == (len(stats),)
+        with pytest.raises(ValueError):
+            column[0] = 0
+    with pytest.raises(IndexError):
+        cols[len(cols)]
