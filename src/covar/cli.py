@@ -17,7 +17,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .baseline import ece as compute_ece
+from .baseline import ThresholdPolicy, ece as compute_ece
 from .decomposition import EpsilonPolicy, decompose_batch, g_coefficient
 from .decomposition import decompose_sample  # noqa: F401  (perfbench/tracing.py wraps it by name)
 from .errors import CovarError
@@ -26,14 +26,12 @@ from .io import (
     load_labels,
     load_matrix,
     matrix_digest,
-    parse_report,  # noqa: F401  (re-exported convenience for report consumers)
     save_matrix,
     serialize_report,
 )
 from .pcos import DEFAULT_LAMBDA, pcos
 from .simulator import CovarPolicy, SyntheticConfig, evaluate_policies, generate
 from .stats import ProbabilityBatch, compute_stats
-from .baseline import ThresholdPolicy
 
 _REPORT_VERSION = 2
 
@@ -241,6 +239,8 @@ def _cmd_compare(args) -> dict:
         labels = load_labels(args.labels)
         source = str(args.input)
         config_echo: dict = {}
+    elif args.n is None or args.k is None:
+        raise CovarError("compare needs --input/--labels or the simulate flags (--n, --k)")
     else:
         config = _synthetic_config(args)
         batch, labels = generate(config)
@@ -273,7 +273,7 @@ def _cmd_compare(args) -> dict:
 
 def _cmd_ece(args) -> dict:
     batch = load_matrix(args.input, args.format)
-    labels = load_labels(args.labels)
+    labels = load_labels(args.labels, batch.n_classes)
     if labels.shape[0] != batch.n_samples:
         raise CovarError(
             f"{labels.shape[0]} labels for {batch.n_samples} samples"
@@ -300,6 +300,8 @@ def _cmd_grid(args) -> str:
         raise CovarError("need p-min <= p-max")
     if not 0.0 <= args.v_min <= args.v_max:
         raise CovarError("need 0 <= v-min <= v-max")
+    if min(args.p_steps, args.v_steps) < 0:
+        raise CovarError(f"need --p-steps, --v-steps >= 0, got {args.p_steps}, {args.v_steps}")
     ps = np.linspace(args.p_min, args.p_max, args.p_steps)
     vs = np.linspace(args.v_min, args.v_max, args.v_steps)
     # g_coefficient also bounds p to [1/K, CONF_CEILING]
@@ -309,7 +311,12 @@ def _cmd_grid(args) -> str:
         for v in vs:
             ce = -math.log(p) + g * v
             lines.append(f"{format_float(p)},{format_float(v)},{format_float(ce)}")
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    if args.emit == "-":
+        return text
+    with open(args.emit, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decompose", help="per-sample and batch CE decomposition")
     _add_matrix_args(sp)
     sp.add_argument("--epsilon", default="adaptive", help="'adaptive' or a fixed value")
-    sp.add_argument("--paper-literal", action="store_true", help="use the sign-flipped middle term")
+    sp.add_argument(
+        "--paper-literal",
+        action="store_true",
+        help="use the sign-flipped middle term, which has no certificate: remainder_bound "
+        "and assumption_ok still describe the certified form",
+    )
     sp.set_defaults(func=_cmd_decompose)
 
     sp = sub.add_parser("select", help="PCOS reliability weights")
@@ -394,33 +406,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_cli(argv: list[str] | None = None) -> int:
     """Parse argv, run one subcommand, write its report; returns exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed usage
-        return int(exc.code or 0)
-    try:
-        if args.command == "compare" and args.input is None and (args.n is None or args.k is None):
-            parser.error("compare needs --input/--labels or the simulate flags (--n, --k)")
+        args = build_parser().parse_args(argv)
         out = args.func(args)
-    except SystemExit as exc:
+        sys.stdout.write(serialize_report(out) if isinstance(out, dict) else out)
+    except SystemExit as exc:  # argparse already printed usage or help
         return int(exc.code or 0)
-    except CovarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CovarError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if isinstance(out, dict):
-        sys.stdout.write(serialize_report(out))
-    elif args.command == "grid" and args.emit != "-":
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
     return 0
 
 

@@ -263,21 +263,16 @@ def decompose_sample(
     policy: EpsilonPolicy,
     *,
     paper_literal: bool = False,
-    clamp_degenerate: bool = True,
 ) -> CEDecomposition:
     """Decompose one sample's cross-entropy against its ideal target.
 
     This is the scalar reference for :func:`decompose_batch`, in plain
     Python floats.  Degenerate (near one-hot) rows are canonicalized to
-    confidence 1 - 1e-6 with uniform residuals when ``clamp_degenerate`` is
-    on, which keeps every field finite; with clamping disabled they raise.
+    confidence 1 - 1e-6 with uniform residuals, which keeps every field
+    finite.
     """
     k = stats.n_classes
     if stats.degenerate:
-        if not clamp_degenerate:
-            raise DomainError(
-                "degenerate (one-hot) sample: enable clamping or filter it out"
-            )
         p = stats.safe_conf
         mu = (1.0 - p) / (k - 1)
         residuals: Sequence[float] = ()

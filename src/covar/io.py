@@ -19,7 +19,7 @@ import hashlib
 import json
 import struct
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -55,30 +55,41 @@ def format_float(x: float) -> str:
 # probability matrices
 
 
+def _lines(path: Path) -> Iterator[tuple[int, str]]:
+    """Number and stripped text of each line of a UTF-8 text file, streamed."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():  # undecodable bytes became lone surrogates
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(f"{path}:{lineno}: not UTF-8 text") from None
+            yield lineno, line.strip()
+
+
 def _load_csv(path: Path) -> ProbabilityBatch:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise ParseError(f"{path}: empty file")
-        cols = header.split(",")
-        expected = [f"c{i}" for i in range(len(cols))]
-        if cols != expected:
-            raise ParseError(
-                f"{path}: header {header!r} does not match c0,...,c{len(cols) - 1}"
-            )
-        k = len(cols)
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != k:
-                raise ParseError(f"{path}:{lineno}: expected {k} fields, got {len(parts)}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    lines = _lines(path)
+    _, header = next(lines, (1, ""))
+    if not header:
+        raise ParseError(f"{path}: empty file")
+    cols = header.split(",")
+    expected = [f"c{i}" for i in range(len(cols))]
+    if cols != expected:
+        raise ParseError(
+            f"{path}: header {header!r} does not match c0,...,c{len(cols) - 1}"
+        )
+    k = len(cols)
+    rows = []
+    for lineno, line in lines:
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != k:
+            raise ParseError(f"{path}:{lineno}: expected {k} fields, got {len(parts)}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return ProbabilityBatch.from_array(np.array(rows, dtype=np.float64))
@@ -102,41 +113,43 @@ def _load_binary(path: Path) -> ProbabilityBatch:
     return ProbabilityBatch.from_array(values.astype(np.float64))
 
 
+def _matrix_format(path: Path, fmt: str | None) -> str:
+    if fmt is None:
+        return "csv" if path.suffix.lower() == ".csv" else "binary"
+    if fmt not in ("csv", "binary"):
+        raise ParseError(f"unknown matrix format {fmt!r}")
+    return fmt
+
+
+def _encoding(batch: ProbabilityBatch) -> tuple[bytes, np.ndarray]:
+    """The canonical binary encoding: header bytes, then the row-major '<f8' body."""
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, batch.n_samples, batch.n_classes)
+    return header, np.ascontiguousarray(batch.values, dtype="<f8")
+
+
 def load_matrix(path: str | Path, fmt: str | None = None) -> ProbabilityBatch:
     """Read a probability matrix; format inferred from the extension
     (.csv -> csv, else binary) unless given explicitly."""
     p = Path(path)
-    if fmt is None:
-        fmt = "csv" if p.suffix.lower() == ".csv" else "binary"
-    if fmt == "csv":
-        return _load_csv(p)
-    if fmt == "binary":
-        return _load_binary(p)
-    raise ParseError(f"unknown matrix format {fmt!r}")
+    return _load_csv(p) if _matrix_format(p, fmt) == "csv" else _load_binary(p)
 
 
 def save_matrix(batch: ProbabilityBatch, path: str | Path, fmt: str | None = None) -> None:
     p = Path(path)
-    if fmt is None:
-        fmt = "csv" if p.suffix.lower() == ".csv" else "binary"
-    vals = batch.values
-    if fmt == "csv":
+    if _matrix_format(p, fmt) == "csv":
         lines = [",".join(f"c{i}" for i in range(batch.n_classes))]
-        for row in vals:
+        for row in batch.values:
             lines.append(",".join(format_float(x) for x in row))
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    elif fmt == "binary":
-        header = _HEADER.pack(MAGIC, FORMAT_VERSION, batch.n_samples, batch.n_classes)
-        p.write_bytes(header + np.ascontiguousarray(vals, dtype="<f8").tobytes())
     else:
-        raise ParseError(f"unknown matrix format {fmt!r}")
+        p.write_bytes(b"".join(_encoding(batch)))
 
 
 def matrix_digest(batch: ProbabilityBatch) -> str:
     """sha256 over the canonical binary encoding of the batch."""
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, batch.n_samples, batch.n_classes)
+    header, body = _encoding(batch)
     h = hashlib.sha256(header)
-    h.update(np.ascontiguousarray(batch.values, dtype="<f8").tobytes())
+    h.update(body)
     return h.hexdigest()
 
 
@@ -144,20 +157,21 @@ def matrix_digest(batch: ProbabilityBatch) -> str:
 # labels
 
 
-def load_labels(path: str | Path) -> np.ndarray:
-    """One integer label per line; an optional leading 'label' header."""
+def load_labels(path: str | Path, n_classes: int | None = None) -> np.ndarray:
+    """One integer label per line, in [0, n_classes) if that is given, else
+    in int64 range; an optional leading 'label' header."""
+    low, high = (-(2**63), 2**63) if n_classes is None else (0, n_classes)
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if lineno == 1 and text.lower() == "label":
-                continue
-            try:
-                out.append(int(text))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: not an integer label: {text!r}") from exc
+    for lineno, text in _lines(Path(path)):
+        if not text or (lineno == 1 and text.lower() == "label"):
+            continue
+        try:
+            label = int(text)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: not an integer label: {text!r}") from exc
+        if not low <= label < high:
+            raise ParseError(f"{path}:{lineno}: label {text} outside [{low}, {high})")
+        out.append(label)
     if not out:
         raise ParseError(f"{path}: no labels")
     return np.array(out, dtype=np.int64)

@@ -66,10 +66,6 @@ class EmbeddingMatrix:
         if self.phi.ndim != 2 or self.phi.shape[0] != 2:
             raise DomainError(f"phi must be (2, N), got {self.phi.shape}")
 
-    @property
-    def n_samples(self) -> int:
-        return self.phi.shape[1]
-
 
 @dataclass(frozen=True)
 class SelectionMatrix:
@@ -83,12 +79,6 @@ class SelectionMatrix:
             raise DomainError("assignment must be 1-d")
         if a.size and not np.isin(a, (0, 1)).all():
             raise DomainError("assignment entries must be 0 or 1")
-
-    def indicator(self) -> np.ndarray:
-        """The N x 2 one-hot selection matrix S."""
-        s = np.zeros((self.assignment.size, 2))
-        s[np.arange(self.assignment.size), self.assignment] = 1.0
-        return s
 
 
 @dataclass(frozen=True)
@@ -391,6 +381,8 @@ def pcos(
     alg1_exponent: bool = False,
 ) -> ReliabilityWeights:
     """End-to-end pipeline: stats -> embed -> split -> score -> weights."""
+    if not math.isfinite(lam):
+        raise DomainError(f"lambda must be finite, got {lam!r}")
     sts = compute_stats(batch)
     em = embed(sts, kind)
     split = spectral_assign(em)

@@ -64,6 +64,8 @@ class SyntheticConfig:
             raise DomainError(
                 f"class_priors has length {pri.size}, expected {self.n_classes}"
             )
+        if not np.isfinite(pri).all():
+            raise DomainError(f"class_priors must be finite, got {self.class_priors!r}")
         if (pri < 0.0).any() or abs(pri.sum() - 1.0) > 1e-9:
             raise DomainError("class_priors must be a probability vector")
         # 1.0 is allowed: the noiseless configuration is useful in tests.
@@ -71,6 +73,8 @@ class SyntheticConfig:
             raise DomainError("base_accuracy must lie in (0, 1]")
         if not self.overconfidence_temp > 0.0:
             raise DomainError("overconfidence_temp must be positive")
+        if not math.isfinite(self.overconfidence_temp):
+            raise DomainError(f"overconfidence_temp must be finite, got {self.overconfidence_temp!r}")
         if self.residual_mode not in ("uniform", "bimodal"):
             raise DomainError(f"unknown residual_mode {self.residual_mode!r}")
 
@@ -159,7 +163,6 @@ class CovarPolicy:
 
     kind: str = "theory"
     lam: float = DEFAULT_LAMBDA
-    alg1_exponent: bool = False
 
 
 @dataclass(frozen=True)
@@ -199,9 +202,7 @@ def evaluate_policies(
             weights = mask.astype(np.float64)
             name = f"fixed-tau={policy.tau:g}"
         elif isinstance(policy, CovarPolicy):
-            weights = pcos(
-                batch, policy.kind, policy.lam, alg1_exponent=policy.alg1_exponent
-            ).weights
+            weights = pcos(batch, policy.kind, policy.lam).weights
             name = "covar-pcos"
         else:
             raise DomainError(f"unknown policy {policy!r}")

@@ -177,6 +177,13 @@ def test_compare_simulate_path(capsys):
     assert len(doc["policies"]) == 2
 
 
+def test_compare_without_a_source_is_a_covar_error(capsys):
+    for argv in (("compare",), ("compare", "--n", "10"), ("compare", "--k", "3")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "--input" in err and "--n" in err
+
+
 def test_compare_usage_errors(capsys, matrix_csv):
     code, _, err = run(capsys, "compare", "--input", str(matrix_csv))
     assert code == 2 and "labels" in err
@@ -239,6 +246,12 @@ def test_grid_emit_file(capsys, tmp_path):
     assert text.startswith("p,v,ce\n") and len(text.strip().split("\n")) == 5
 
 
+def test_grid_emit_into_missing_directory(capsys, tmp_path):
+    code, out, err = run(capsys, "grid", "--emit", str(tmp_path / "missing" / "grid.csv"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "missing" in err
+
+
 def test_grid_bad_ranges(capsys):
     code, _, err = run(capsys, "grid", "--p-min", "0.9", "--p-max", "0.5")
     assert code == 2 and "p-min" in err
@@ -246,6 +259,9 @@ def test_grid_bad_ranges(capsys):
     for bounds in (("--p-min", "0.01"), ("--p-max", "0.9999999")):
         code, _, err = run(capsys, "grid", "--k", "21", *bounds)
         assert code == 2 and "outside" in err
+    for flag in ("--p-steps", "--v-steps"):
+        code, _, err = run(capsys, "grid", flag, "-1")
+        assert code == 2 and flag in err and "-1" in err
 
 
 def test_near_uniform_row_decomposes_and_selects(capsys, tmp_path):
@@ -302,3 +318,41 @@ def test_binary_pipeline(capsys, tmp_path):
     code, out, _ = run(capsys, "decompose", "--input", str(mpath))
     assert code == 0
     assert parse_report(out)["input"]["n_samples"] == 30
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("select", "--lambda", "nan"), "lambda must be finite, got nan"),
+        (("compare", "--lambda", "inf", "--n", "50", "--k", "3"), "lambda must be finite, got inf"),
+        (("simulate", "--n", "5", "--k", "3", "--temp", "inf"), "overconfidence_temp must be finite, got inf"),
+        (("simulate", "--n", "5", "--k", "3", "--priors", "nan,0.5,0.5"), "(nan, 0.5, 0.5)"),
+    ],
+)
+def test_non_finite_config_values_are_named(capsys, matrix_csv, argv, named):
+    if argv[0] == "select":
+        argv = (*argv, "--input", str(matrix_csv))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert named in err
+
+
+def test_bad_label_and_text_files_exit_2(capsys, matrix_csv, labels_file, tmp_path):
+    cases = {  # labels file whose line 3 is bad (K = 3) -> words in the error
+        b"0\n1\n3\n2\n": "outside",
+        b"0\n1\n99999999999999999999\n2\n": "outside",
+        b"0\n1\n\xe9\n2\n": "not UTF-8",
+    }
+    for content, message in cases.items():
+        labels = tmp_path / "y-bad.txt"
+        labels.write_bytes(content)
+        code, _, err = run(capsys, "ece", "--input", str(matrix_csv), "--labels", str(labels))
+        assert code == 2 and "y-bad.txt:3: " in err and message in err
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"c0,c1,c2\n0.7,0.2,0.1\n0.5,0.3\xe9,0.2\n")
+    code, _, err = run(capsys, "ece", "--input", str(latin), "--labels", str(labels_file))
+    assert code == 2 and "latin.csv:3: not UTF-8" in err
+    binary = tmp_path / "m.bin"
+    save_matrix(load_matrix(matrix_csv), binary)
+    code, _, err = run(capsys, "decompose", "--input", str(binary), "--format", "csv")
+    assert code == 2 and "m.bin:1: not UTF-8" in err

@@ -206,8 +206,6 @@ def test_one_hot_row_canonicalized():
     assert d.remainder_bound == 0.0
     assert d.remainder_actual == 0.0
     assert d.exact_ce == pytest.approx(d.approx_ce, rel=1e-12)
-    with pytest.raises(DomainError):
-        decompose_sample(s, ADAPTIVE, clamp_degenerate=False)
 
 
 @given(confident_rows())

@@ -85,6 +85,22 @@ def test_csv_skips_blank_lines(tmp_path):
     assert load_matrix(p).n_samples == 2
 
 
+def test_non_utf8_text_names_file_and_line(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_bytes(b"c0,c1\n0.5,0.5\n0.25,0.7\xe95\n")
+    with pytest.raises(ParseError, match=r"m\.csv:3: not UTF-8"):
+        load_matrix(p)
+    # a binary container read as CSV fails on its first line
+    binary = tmp_path / "m.bin"
+    save_matrix(make_batch(), binary)
+    with pytest.raises(ParseError, match=r"m\.bin:1: not UTF-8"):
+        load_matrix(binary, fmt="csv")
+    y = tmp_path / "y.txt"
+    y.write_bytes(b"0\n1\n\xff\n")
+    with pytest.raises(ParseError, match=r"y\.txt:3: not UTF-8"):
+        load_labels(y)
+
+
 # --- binary container -------------------------------------------------------------
 
 
@@ -193,6 +209,20 @@ def test_load_labels_errors(tmp_path):
     p.write_text("")
     with pytest.raises(ParseError, match="no labels"):
         load_labels(p)
+    p.write_text("0\n99999999999999999999\n")  # beyond int64
+    with pytest.raises(ParseError, match=":2"):
+        load_labels(p)
+
+
+def test_load_labels_class_range(tmp_path):
+    p = tmp_path / "y.txt"
+    p.write_text("label\n0\n2\n")
+    np.testing.assert_array_equal(load_labels(p, 3), [0, 2])
+    with pytest.raises(ParseError, match=r":3: label 2 outside \[0, 2\)"):
+        load_labels(p, 2)
+    p.write_text("0\n-1\n")
+    with pytest.raises(ParseError, match=":2"):
+        load_labels(p, 2)
 
 
 # --- reports -------------------------------------------------------------------------

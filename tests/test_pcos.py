@@ -372,3 +372,10 @@ def test_pcos_raw_kind_runs():
     out = pcos(ProbabilityBatch.from_array(rows), kind="raw")
     assert out.weights.shape == (12,)
     assert np.all((out.weights >= 0.0) & (out.weights <= 1.0))
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_pcos_rejects_non_finite_lambda(lam):
+    rows = np.array([[0.7, 0.2, 0.1], [0.5, 0.3, 0.2], [0.9, 0.05, 0.05]])
+    with pytest.raises(DomainError, match="lambda"):
+        pcos(ProbabilityBatch.from_array(rows), lam=lam)

@@ -43,6 +43,13 @@ def test_config_validation():
         SyntheticConfig(
             n_samples=10, n_classes=2, class_priors=(0.7, 0.4), base_accuracy=0.5
         )
+    # non-finite values are named rather than reaching numpy
+    with pytest.raises(DomainError, match="nan"):
+        SyntheticConfig(
+            n_samples=10, n_classes=3, class_priors=(math.nan, 0.5, 0.5), base_accuracy=0.5
+        )
+    with pytest.raises(DomainError, match="inf"):
+        SyntheticConfig.uniform_priors(10, 3, base_accuracy=0.5, overconfidence_temp=math.inf)
     # noiseless configuration is allowed
     SyntheticConfig.uniform_priors(10, 3, base_accuracy=1.0)
 
