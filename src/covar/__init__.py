@@ -5,142 +5,40 @@ term and a residual-class-variance penalty with a certified remainder
 bound, and selects reliable pseudo-labels without a confidence threshold
 by spectrally partitioning samples in a 2-d (confidence, variance)
 embedding.
+
+Each module's ``__all__`` is its public API; the package re-exports all
+of them.
 """
 
 from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .errors import (
-    AssumptionViolation,
-    CovarError,
-    DomainError,
-    InfiniteCrossEntropyError,
-    ParseError,
-    ValidationError,
-)
-from .stats import (
-    BatchStats,
-    IdealDistribution,
-    PredictionStats,
-    ProbabilityBatch,
-    compute_stats,
-    exact_ce,
-)
-from .decomposition import (
-    BatchDecomposition,
-    CEDecomposition,
-    DecompositionColumns,
-    EpsilonPolicy,
-    decompose_batch,
-    decompose_sample,
-    g_coefficient,
-    taylor_log_expand,
-)
-from .pcos import (
-    DEFAULT_LAMBDA,
-    ClusterStats,
-    EmbeddingMatrix,
-    ReliabilityWeights,
-    SelectionMatrix,
-    brute_force_partition,
-    cluster_statistics,
-    embed,
-    gaussian_weights,
-    pcos,
-    select_reliable_cluster,
-    spectral_assign,
-    trace_objective,
-)
-from .baseline import (
-    IGNORE_LABEL,
-    CalibrationReport,
-    ClassRetention,
-    ThresholdPolicy,
-    class_retention,
-    ece,
-    retention_from_mask,
-    threshold_select,
-    threshold_sweep,
-)
-from .simulator import (
-    CovarPolicy,
-    PolicyEvaluation,
-    SyntheticConfig,
-    evaluate_policies,
-    generate,
-)
-from .io import (
-    load_labels,
-    load_matrix,
-    matrix_digest,
-    parse_report,
-    save_matrix,
-    serialize_report,
-)
-from .cli import run_cli
+# Bind the modules before the star imports: ``from .pcos import *``
+# rebinds ``covar.pcos`` to the function of that name.
+from . import errors as _errors
+from . import stats as _stats
+from . import decomposition as _decomposition
+from . import pcos as _pcos
+from . import baseline as _baseline
+from . import simulator as _simulator
+from . import io as _io
+from . import cli as _cli
+from .errors import *
+from .stats import *
+from .decomposition import *
+from .pcos import *
+from .baseline import *
+from .simulator import *
+from .io import *
+from .cli import *
 
-__all__ = [
-    "__version__",
-    # errors
-    "CovarError",
-    "ValidationError",
-    "ParseError",
-    "DomainError",
-    "AssumptionViolation",
-    "InfiniteCrossEntropyError",
-    # stats
-    "ProbabilityBatch",
-    "PredictionStats",
-    "BatchStats",
-    "IdealDistribution",
-    "compute_stats",
-    "exact_ce",
-    # decomposition
-    "EpsilonPolicy",
-    "CEDecomposition",
-    "DecompositionColumns",
-    "BatchDecomposition",
-    "taylor_log_expand",
-    "g_coefficient",
-    "decompose_sample",
-    "decompose_batch",
-    # pcos
-    "DEFAULT_LAMBDA",
-    "EmbeddingMatrix",
-    "SelectionMatrix",
-    "ClusterStats",
-    "ReliabilityWeights",
-    "embed",
-    "trace_objective",
-    "brute_force_partition",
-    "spectral_assign",
-    "cluster_statistics",
-    "select_reliable_cluster",
-    "gaussian_weights",
-    "pcos",
-    # baseline
-    "IGNORE_LABEL",
-    "ThresholdPolicy",
-    "CalibrationReport",
-    "ClassRetention",
-    "threshold_select",
-    "ece",
-    "retention_from_mask",
-    "class_retention",
-    "threshold_sweep",
-    # simulator
-    "SyntheticConfig",
-    "CovarPolicy",
-    "PolicyEvaluation",
-    "generate",
-    "evaluate_policies",
-    # io / cli
-    "load_matrix",
-    "save_matrix",
-    "load_labels",
-    "matrix_digest",
-    "serialize_report",
-    "parse_report",
-    "run_cli",
-]
+__all__ = ["__version__"]
+__all__ += _errors.__all__
+__all__ += _stats.__all__
+__all__ += _decomposition.__all__
+__all__ += _pcos.__all__
+__all__ += _baseline.__all__
+__all__ += _simulator.__all__
+__all__ += _io.__all__
+__all__ += _cli.__all__

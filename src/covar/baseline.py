@@ -24,7 +24,6 @@ __all__ = [
     "threshold_select",
     "ece",
     "retention_from_mask",
-    "class_retention",
     "threshold_sweep",
 ]
 
@@ -157,14 +156,6 @@ def retention_from_mask(
             inv_sqrt_count=1.0 / math.sqrt(count),
         )
     return out
-
-
-def class_retention(
-    batch: ProbabilityBatch, true_labels: np.ndarray, policy: ThresholdPolicy
-) -> dict[int, ClassRetention]:
-    """Retention rate r_k of threshold selection within each true class."""
-    _, mask = threshold_select(batch, policy)
-    return retention_from_mask(true_labels, mask, batch.n_classes)
 
 
 def threshold_sweep(

@@ -26,12 +26,15 @@ from .io import (
     load_labels,
     load_matrix,
     matrix_digest,
+    save_labels,
     save_matrix,
     serialize_report,
 )
 from .pcos import DEFAULT_LAMBDA, pcos
 from .simulator import CovarPolicy, SyntheticConfig, evaluate_policies, generate
 from .stats import ProbabilityBatch, compute_stats
+
+__all__ = ["run_cli"]
 
 _REPORT_VERSION = 2
 
@@ -182,22 +185,28 @@ def _cmd_select(args) -> dict:
 
 
 def _synthetic_config(args) -> SyntheticConfig:
+    knobs = {
+        "base_accuracy": args.accuracy,
+        "overconfidence_temp": args.temp,
+        "residual_mode": args.residual,
+        "seed": args.seed,
+    }
     if args.priors is None:
-        priors = tuple([1.0 / args.k] * args.k)
-    else:
-        try:
-            priors = tuple(float(x) for x in args.priors.split(","))
-        except ValueError:
-            raise CovarError(f"--priors must be comma-separated numbers, got {args.priors!r}") from None
-    return SyntheticConfig(
-        n_samples=args.n,
-        n_classes=args.k,
-        class_priors=priors,
-        base_accuracy=args.accuracy,
-        overconfidence_temp=args.temp,
-        residual_mode=args.residual,
-        seed=args.seed,
-    )
+        return SyntheticConfig.uniform_priors(args.n, args.k, **knobs)
+    try:
+        priors = tuple(float(x) for x in args.priors.split(","))
+    except ValueError:
+        raise CovarError(f"--priors must be comma-separated numbers, got {args.priors!r}") from None
+    return SyntheticConfig(args.n, args.k, priors, **knobs)
+
+
+def _labelled_input(args) -> tuple[ProbabilityBatch, np.ndarray]:
+    """The --input matrix and its --labels, one label in [0, K) per sample."""
+    batch = load_matrix(args.input, args.format)
+    labels = load_labels(args.labels, batch.n_classes)
+    if labels.shape[0] != batch.n_samples:
+        raise CovarError(f"{args.labels}: {labels.shape[0]} labels for {batch.n_samples} samples")
+    return batch, labels
 
 
 def _cmd_simulate(args) -> dict:
@@ -206,8 +215,7 @@ def _cmd_simulate(args) -> dict:
     if args.out:
         save_matrix(batch, args.out, args.format)
     if args.labels_out:
-        with open(args.labels_out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(str(int(y)) for y in labels) + "\n")
+        save_labels(labels, args.labels_out)
     sts = compute_stats(batch)
     correct = sts.max_class == labels
     samples = _rows(
@@ -235,8 +243,7 @@ def _cmd_compare(args) -> dict:
     if args.input is not None:
         if args.labels is None:
             raise CovarError("compare with --input also needs --labels")
-        batch = load_matrix(args.input, args.format)
-        labels = load_labels(args.labels)
+        batch, labels = _labelled_input(args)
         source = str(args.input)
         config_echo: dict = {}
     elif args.n is None or args.k is None:
@@ -272,12 +279,7 @@ def _cmd_compare(args) -> dict:
 
 
 def _cmd_ece(args) -> dict:
-    batch = load_matrix(args.input, args.format)
-    labels = load_labels(args.labels, batch.n_classes)
-    if labels.shape[0] != batch.n_samples:
-        raise CovarError(
-            f"{labels.shape[0]} labels for {batch.n_samples} samples"
-        )
+    batch, labels = _labelled_input(args)
     sts = compute_stats(batch)
     report = compute_ece(sts.max_conf, sts.max_class == labels, n_bins=args.bins)
     bins = _rows(
@@ -302,14 +304,18 @@ def _cmd_grid(args) -> str:
         raise CovarError("need 0 <= v-min <= v-max")
     if min(args.p_steps, args.v_steps) < 0:
         raise CovarError(f"need --p-steps, --v-steps >= 0, got {args.p_steps}, {args.v_steps}")
+    if not math.isfinite(args.v_max):
+        raise CovarError(f"need a finite --v-max, got {args.v_max}")
     ps = np.linspace(args.p_min, args.p_max, args.p_steps)
-    vs = np.linspace(args.v_min, args.v_max, args.v_steps)
+    vs = np.linspace(args.v_min, args.v_max, args.v_steps).tolist()
     # g_coefficient also bounds p to [1/K, CONF_CEILING]
     gs = g_coefficient(ps, args.k, EpsilonPolicy.adaptive())
     lines = ["p,v,ce"]
-    for p, g in zip(ps, gs):
+    for p, g in zip(ps.tolist(), gs.tolist()):
         for v in vs:
-            ce = -math.log(p) + g * v
+            ce = -math.log(p) + g * v  # Python floats overflow to inf silently
+            if not math.isfinite(ce):
+                raise CovarError(f"--v-max {args.v_max} makes ce overflow at p = {p}")
             lines.append(f"{format_float(p)},{format_float(v)},{format_float(ce)}")
     text = "\n".join(lines) + "\n"
     if args.emit == "-":

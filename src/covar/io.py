@@ -33,6 +33,7 @@ __all__ = [
     "load_matrix",
     "save_matrix",
     "load_labels",
+    "save_labels",
     "matrix_digest",
     "serialize_report",
     "parse_report",
@@ -110,7 +111,7 @@ def _load_binary(path: Path) -> ProbabilityBatch:
             f"{path}: file is {len(blob)} bytes, expected {expected} for N={n}, K={k}"
         )
     values = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).reshape(n, k)
-    return ProbabilityBatch.from_array(values.astype(np.float64))
+    return ProbabilityBatch.from_array(values)
 
 
 def _matrix_format(path: Path, fmt: str | None) -> str:
@@ -157,10 +158,9 @@ def matrix_digest(batch: ProbabilityBatch) -> str:
 # labels
 
 
-def load_labels(path: str | Path, n_classes: int | None = None) -> np.ndarray:
-    """One integer label per line, in [0, n_classes) if that is given, else
-    in int64 range; an optional leading 'label' header."""
-    low, high = (-(2**63), 2**63) if n_classes is None else (0, n_classes)
+def load_labels(path: str | Path, n_classes: int) -> np.ndarray:
+    """One integer label in [0, n_classes) per line; an optional leading
+    'label' header."""
     out = []
     for lineno, text in _lines(Path(path)):
         if not text or (lineno == 1 and text.lower() == "label"):
@@ -169,12 +169,17 @@ def load_labels(path: str | Path, n_classes: int | None = None) -> np.ndarray:
             label = int(text)
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: not an integer label: {text!r}") from exc
-        if not low <= label < high:
-            raise ParseError(f"{path}:{lineno}: label {text} outside [{low}, {high})")
+        if not 0 <= label < n_classes:
+            raise ParseError(f"{path}:{lineno}: label {text} outside [0, {n_classes})")
         out.append(label)
     if not out:
         raise ParseError(f"{path}: no labels")
     return np.array(out, dtype=np.int64)
+
+
+def save_labels(labels: np.ndarray, path: str | Path) -> None:
+    """Write the format :func:`load_labels` reads: one label per line."""
+    Path(path).write_text("\n".join(str(int(y)) for y in labels) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

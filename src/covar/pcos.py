@@ -33,7 +33,6 @@ from .stats import BatchStats, ProbabilityBatch, compute_stats
 __all__ = [
     "DEFAULT_LAMBDA",
     "EmbeddingMatrix",
-    "SelectionMatrix",
     "SpectralAssignment",
     "ClusterStats",
     "ReliabilityWeights",
@@ -65,20 +64,6 @@ class EmbeddingMatrix:
             raise DomainError(f"unknown embedding kind {self.kind!r}")
         if self.phi.ndim != 2 or self.phi.shape[0] != 2:
             raise DomainError(f"phi must be (2, N), got {self.phi.shape}")
-
-
-@dataclass(frozen=True)
-class SelectionMatrix:
-    """A bipartition as a vector of cluster ids in {0, 1}."""
-
-    assignment: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = self.assignment
-        if a.ndim != 1:
-            raise DomainError("assignment must be 1-d")
-        if a.size and not np.isin(a, (0, 1)).all():
-            raise DomainError("assignment entries must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -132,14 +117,12 @@ def embed(batch_stats: BatchStats, kind: str = "theory") -> EmbeddingMatrix:
     n = len(batch_stats)
     if n < 2:
         raise DomainError(f"need at least 2 samples to partition, got {n}")
-    if kind == "raw":
-        phi = np.vstack([batch_stats.max_conf, batch_stats.rcv])
-    elif kind == "theory":
+    if kind == "theory":
         conf = batch_stats.safe_conf
         g = g_coefficient(conf, batch_stats.n_classes, EpsilonPolicy.adaptive())
         phi = np.vstack([np.log(conf), -g * batch_stats.rcv])
-    else:
-        raise DomainError(f"unknown embedding kind {kind!r}")
+    else:  # EmbeddingMatrix rejects a kind other than "raw"
+        phi = np.vstack([batch_stats.max_conf, batch_stats.rcv])
     phi.setflags(write=False)
     return EmbeddingMatrix(phi=phi, kind=kind)
 
@@ -156,14 +139,14 @@ def _as_phi(phi) -> np.ndarray:
 
 
 def trace_objective(phi, selection, normalized: bool = True) -> float:
-    """Grouping objective of a bipartition.
+    """Grouping objective of a bipartition given as cluster ids in {0, 1}.
 
     Unnormalized: sum_c ||sum_{n in c} h_n||^2, i.e. Tr(S^T Phi^T Phi S).
     Normalized divides each cluster's term by its size (the projection
     form Tr(Phi^T P Phi)); it requires both clusters to be non-empty.
     """
     arr = _as_phi(phi)
-    a = selection.assignment if isinstance(selection, SelectionMatrix) else np.asarray(selection)
+    a = np.asarray(selection)
     if a.shape != (arr.shape[1],):
         raise DomainError(f"assignment shape {a.shape} does not match N={arr.shape[1]}")
     if a.size and not np.isin(a, (0, 1)).all():
@@ -198,10 +181,11 @@ def enumerate_bipartitions(n: int) -> np.ndarray:
     return np.hstack([np.zeros((codes.size, 1), dtype=np.int8), bits])
 
 
-def brute_force_partition(phi) -> SelectionMatrix:
+def brute_force_partition(phi) -> np.ndarray:
     """Exhaustive maximizer of the normalized objective (oracle, N <= 20).
 
-    Ties resolve to the lexicographically smallest assignment vector.
+    Returns the int64 assignment vector of cluster ids in {0, 1}; ties
+    resolve to the lexicographically smallest one.
     """
     arr = _as_phi(phi)
     n = arr.shape[1]
@@ -214,7 +198,7 @@ def brute_force_partition(phi) -> SelectionMatrix:
     n0 = n - n1
     obj = (sums0 * sums0).sum(axis=1) / n0 + (sums1 * sums1).sum(axis=1) / n1
     best = int(np.argmax(obj))
-    return SelectionMatrix(assignment=parts[best].astype(np.int64))
+    return parts[best].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +297,7 @@ def cluster_statistics(phi, selection) -> ClusterStats:
     statistics (callers on the rank-deficient path never read them).
     """
     arr = _as_phi(phi)
-    a = selection.assignment if isinstance(selection, SelectionMatrix) else np.asarray(selection)
+    a = np.asarray(selection)
     mean = np.full((2, 2), np.nan)
     std = np.full((2, 2), np.nan)
     size = np.zeros(2, dtype=np.int64)

@@ -80,10 +80,11 @@ class SyntheticConfig:
 
     @classmethod
     def uniform_priors(cls, n_samples: int, n_classes: int, **kw) -> "SyntheticConfig":
+        """Equal priors; divides by n_classes only when it is at least 1."""
         return cls(
             n_samples=n_samples,
             n_classes=n_classes,
-            class_priors=tuple([1.0 / n_classes] * n_classes),
+            class_priors=tuple(1.0 / n_classes for _ in range(n_classes)),
             **kw,
         )
 

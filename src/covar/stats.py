@@ -97,14 +97,14 @@ class ProbabilityBatch:
         neg = arr < 0.0
         if neg.any():
             row = int(np.argwhere(neg.any(axis=1))[0, 0])
-            raise ValidationError(f"row {row}: negative entry {arr[row][neg[row]][0]!r}")
+            raise ValidationError(f"row {row}: negative entry {float(arr[row][neg[row]][0])!r}")
         sums = arr.sum(axis=1)
         drift = np.abs(sums - 1.0)
         bad = drift > ROW_SUM_REJECT
         if bad.any():
             row = int(np.argmax(bad))
             raise ValidationError(
-                f"row {row}: sum {sums[row]!r} deviates from 1 by more than {ROW_SUM_REJECT}"
+                f"row {row}: sum {float(sums[row])!r} deviates from 1 by more than {ROW_SUM_REJECT}"
             )
         fix = drift > ROW_SUM_ACCEPT
         if fix.any():

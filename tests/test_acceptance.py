@@ -25,7 +25,6 @@ from covar.decomposition import (
 from covar.io import load_matrix, matrix_digest, save_matrix
 from covar.pcos import (
     ClusterStats,
-    SelectionMatrix,
     brute_force_partition,
     embed,
     gaussian_weights,
@@ -155,12 +154,12 @@ def test_criterion_05_ky_fan_bound_and_unit_instance():
             lam = np.linalg.eigvalsh(arr @ arr.T)
             assert np.all(obj <= lam.sum() + 1e-8)
             for i in rng.integers(0, m.size, size=3):
-                sel = SelectionMatrix(assignment=bits[i].astype(np.int64))
+                sel = bits[i].astype(np.int64)
                 got = trace_objective(arr, sel, normalized=True)
                 assert got == pytest.approx(obj[i], rel=1e-10)
         e = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         sel = brute_force_partition(e)
-        assert sel.assignment.tolist() == [0, 0, 1]
+        assert sel.tolist() == [0, 0, 1]
         assert trace_objective(e, sel, normalized=True) == pytest.approx(3.0, abs=1e-12)
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: reports, exit codes, determinism."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -142,7 +143,7 @@ def test_simulate_writes_artifacts(capsys, tmp_path):
     assert doc["report"] == "simulate"
     assert doc["config"]["n_samples"] == 40
     batch = load_matrix(mpath)
-    labels = load_labels(ypath)
+    labels = load_labels(ypath, 5)
     assert batch.values.shape == (40, 5)
     assert labels.shape == (40,)
     assert doc["input"]["digest"] == matrix_digest(batch)
@@ -201,7 +202,7 @@ def test_ece_report_matches_library(capsys, matrix_csv, labels_file):
     assert code == 0
     doc = parse_report(out)
     batch = load_matrix(matrix_csv)
-    labels = load_labels(labels_file)
+    labels = load_labels(labels_file, 3)
     conf = batch.values.max(axis=1)
     correct = batch.values.argmax(axis=1) == labels
     want = compute_ece(conf, correct, n_bins=4)
@@ -215,10 +216,11 @@ def test_ece_report_matches_library(capsys, matrix_csv, labels_file):
 def test_ece_label_count_mismatch(capsys, matrix_csv, tmp_path):
     short = tmp_path / "short.txt"
     short.write_text("0\n1\n")
-    code, _, err = run(
-        capsys, "ece", "--input", str(matrix_csv), "--labels", str(short)
-    )
-    assert code == 2 and "labels" in err
+    for command in ("ece", "compare"):
+        code, _, err = run(
+            capsys, command, "--input", str(matrix_csv), "--labels", str(short)
+        )
+        assert code == 2 and "short.txt: 2 labels for 4 samples" in err
 
 
 def test_grid_stdout_and_frozen_corner(capsys):
@@ -262,6 +264,10 @@ def test_grid_bad_ranges(capsys):
     for flag in ("--p-steps", "--v-steps"):
         code, _, err = run(capsys, "grid", flag, "-1")
         assert code == 2 and flag in err and "-1" in err
+    # every p, v and ce written must be finite
+    for v_max in ("inf", "1e308"):
+        code, out, err = run(capsys, "grid", "--v-max", v_max, "--p-steps", "2", "--v-steps", "2")
+        assert (code, out) == (2, "") and "--v-max" in err and "Warning" not in err
 
 
 def test_near_uniform_row_decomposes_and_selects(capsys, tmp_path):
@@ -320,6 +326,12 @@ def test_binary_pipeline(capsys, tmp_path):
     assert parse_report(out)["input"]["n_samples"] == 30
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_fewer_than_two_classes_exit_2(capsys, command):
+    code, out, err = run(capsys, command, "--n", "10", "--k", "0")
+    assert (code, out) == (2, "") and "at least 2 classes" in err
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -343,10 +355,10 @@ def test_bad_label_and_text_files_exit_2(capsys, matrix_csv, labels_file, tmp_pa
         b"0\n1\n99999999999999999999\n2\n": "outside",
         b"0\n1\n\xe9\n2\n": "not UTF-8",
     }
-    for content, message in cases.items():
+    for (content, message), command in itertools.product(cases.items(), ("ece", "compare")):
         labels = tmp_path / "y-bad.txt"
         labels.write_bytes(content)
-        code, _, err = run(capsys, "ece", "--input", str(matrix_csv), "--labels", str(labels))
+        code, _, err = run(capsys, command, "--input", str(matrix_csv), "--labels", str(labels))
         assert code == 2 and "y-bad.txt:3: " in err and message in err
     latin = tmp_path / "latin.csv"
     latin.write_bytes(b"c0,c1,c2\n0.7,0.2,0.1\n0.5,0.3\xe9,0.2\n")

@@ -17,6 +17,7 @@ from covar.io import (
     format_float,
     load_labels,
     load_matrix,
+    save_labels,
     matrix_digest,
     parse_report,
     save_matrix,
@@ -98,7 +99,7 @@ def test_non_utf8_text_names_file_and_line(tmp_path):
     y = tmp_path / "y.txt"
     y.write_bytes(b"0\n1\n\xff\n")
     with pytest.raises(ParseError, match=r"y\.txt:3: not UTF-8"):
-        load_labels(y)
+        load_labels(y, 2)
 
 
 # --- binary container -------------------------------------------------------------
@@ -196,22 +197,25 @@ def test_any_clean_batch_round_trips_both_formats(tmp_path_factory, rows):
 def test_load_labels_plain_and_with_header(tmp_path):
     p = tmp_path / "y.txt"
     p.write_text("0\n2\n1\n")
-    np.testing.assert_array_equal(load_labels(p), [0, 2, 1])
+    np.testing.assert_array_equal(load_labels(p, 3), [0, 2, 1])
     p.write_text("label\n3\n\n4\n")
-    np.testing.assert_array_equal(load_labels(p), [3, 4])
+    np.testing.assert_array_equal(load_labels(p, 5), [3, 4])
+    save_labels(np.array([4, 0, 3]), p)
+    assert p.read_bytes() == b"4\n0\n3\n"
+    np.testing.assert_array_equal(load_labels(p, 5), [4, 0, 3])
 
 
 def test_load_labels_errors(tmp_path):
     p = tmp_path / "y.txt"
     p.write_text("0\n1.5\n")
     with pytest.raises(ParseError, match=":2"):
-        load_labels(p)
+        load_labels(p, 2)
     p.write_text("")
     with pytest.raises(ParseError, match="no labels"):
-        load_labels(p)
+        load_labels(p, 2)
     p.write_text("0\n99999999999999999999\n")  # beyond int64
     with pytest.raises(ParseError, match=":2"):
-        load_labels(p)
+        load_labels(p, 2)
 
 
 def test_load_labels_class_range(tmp_path):

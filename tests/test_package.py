@@ -1,0 +1,17 @@
+"""The package namespace is the union of its modules' public APIs."""
+from __future__ import annotations
+
+import importlib
+
+import covar
+
+MODULES = ("errors", "stats", "decomposition", "pcos", "baseline", "simulator", "io", "cli")
+
+
+def test_public_names_are_unique_and_resolve():
+    modules = [importlib.import_module(f"covar.{name}") for name in MODULES]
+    assert len(covar.__all__) == len(set(covar.__all__))
+    assert set(covar.__all__) == {"__version__"}.union(*(m.__all__ for m in modules))
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(covar, name) is getattr(module, name), f"{module.__name__}.{name}"

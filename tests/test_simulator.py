@@ -25,8 +25,9 @@ CANONICAL = dict(
 def test_config_validation():
     with pytest.raises(DomainError):
         SyntheticConfig.uniform_priors(0, 3, base_accuracy=0.5)
-    with pytest.raises(DomainError):
-        SyntheticConfig.uniform_priors(10, 1, base_accuracy=0.5)
+    for k in (1, 0, -1):  # k = 0 must not divide by zero on the way
+        with pytest.raises(DomainError, match="at least 2 classes"):
+            SyntheticConfig.uniform_priors(10, k, base_accuracy=0.5)
     with pytest.raises(DomainError):
         SyntheticConfig.uniform_priors(10, 3, base_accuracy=0.0)
     with pytest.raises(DomainError):

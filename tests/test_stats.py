@@ -88,7 +88,7 @@ def test_near_one_hot_below_tolerance_not_degenerate():
 
 
 def test_batch_validation_rejects_negative_and_nonfinite():
-    with pytest.raises(ValidationError, match="row 0"):
+    with pytest.raises(ValidationError, match=r"row 0: negative entry -0\.1$"):
         ProbabilityBatch.from_array(np.array([[0.5, 0.6, -0.1]]))
     with pytest.raises(ValidationError, match="row 1"):
         ProbabilityBatch.from_array(np.array([[0.5, 0.5], [np.nan, 0.5]]))
@@ -111,6 +111,8 @@ def test_row_sum_policy_three_zones():
 
     with pytest.raises(ValidationError, match="deviates"):
         ProbabilityBatch.from_array(clean * (1.0 + 1e-5))
+    with pytest.raises(ValidationError, match=r"row 0: sum 1\.8 deviates"):
+        ProbabilityBatch.from_array(np.array([[0.9, 0.9]]))
 
 
 def test_batch_values_are_read_only():
