@@ -41,7 +41,7 @@ from typing import ClassVar, Literal, Sequence
 
 import numpy as np
 
-from .errors import AssumptionViolation, DomainError, InfiniteCrossEntropyError
+from .errors import DomainError, InfiniteCrossEntropyError
 from .stats import CONF_CEILING, ROW_SUM_ACCEPT, BatchStats, PredictionStats, RowColumns
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "CEDecomposition",
     "DecompositionColumns",
     "BatchDecomposition",
-    "taylor_log_expand",
     "g_coefficient",
     "decompose_sample",
     "decompose_batch",
@@ -160,31 +159,6 @@ class BatchDecomposition:
     remainder_batch_bound: float
     n_samples: int
     samples: DecompositionColumns = field(repr=False)
-
-
-def taylor_log_expand(p_k: float, mu: float, rho: float) -> tuple[float, float]:
-    """Second-order expansion of log p_k around mu with a certified bound.
-
-    Returns ``(value, bound)`` where value = log mu + d/mu - d^2/(2 mu^2)
-    and |log p_k - value| <= bound = |d|^3 / (3 (1-rho)^3 mu^3), valid for
-    p_k inside the band [(1-rho) mu, (1+rho) mu] with rho < 1.
-    """
-    if not mu > 0.0:
-        raise DomainError(f"mu must be positive, got {mu!r}")
-    if not 0.0 <= rho < 1.0:
-        raise AssumptionViolation(f"rho={rho!r} outside [0, 1)")
-    d = p_k - mu
-    # A point exactly on the band edge is legal (rho is usually computed
-    # as max|d|/mu, which lands there); allow a few ulp of slack so the
-    # float product rho*mu does not spuriously reject it.
-    if abs(d) > rho * mu * (1.0 + 1e-12):
-        raise AssumptionViolation(
-            f"p_k={p_k!r} outside the band [{(1 - rho) * mu!r}, {(1 + rho) * mu!r}]"
-        )
-    t = d / mu
-    value = math.log(mu) + t - 0.5 * t * t
-    bound = abs(d) ** 3 / (3.0 * (1.0 - rho) ** 3 * mu**3)
-    return value, bound
 
 
 def g_coefficient(max_conf, n_classes: int, policy: EpsilonPolicy):

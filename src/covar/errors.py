@@ -12,7 +12,6 @@ __all__ = [
     "ValidationError",
     "ParseError",
     "DomainError",
-    "AssumptionViolation",
     "InfiniteCrossEntropyError",
 ]
 
@@ -31,10 +30,6 @@ class ParseError(CovarError):
 
 class DomainError(CovarError):
     """An operation was called outside its mathematical domain."""
-
-
-class AssumptionViolation(DomainError):
-    """The bounded-deviation assumption (rho < 1, point inside the band) fails."""
 
 
 class InfiniteCrossEntropyError(DomainError):

@@ -130,9 +130,17 @@ def _encoding(batch: ProbabilityBatch) -> tuple[bytes, np.ndarray]:
 
 def load_matrix(path: str | Path, fmt: str | None = None) -> ProbabilityBatch:
     """Read a probability matrix; format inferred from the extension
-    (.csv -> csv, else binary) unless given explicitly."""
+    (.csv -> csv, else binary) unless given explicitly.
+
+    A :class:`ValidationError` from the batch checks is re-raised with
+    the path in front; parse errors already name it.
+    """
     p = Path(path)
-    return _load_csv(p) if _matrix_format(p, fmt) == "csv" else _load_binary(p)
+    load = _load_csv if _matrix_format(p, fmt) == "csv" else _load_binary
+    try:
+        return load(p)
+    except ValidationError as exc:
+        raise ValidationError(f"{p}: {exc}") from exc
 
 
 def save_matrix(batch: ProbabilityBatch, path: str | Path, fmt: str | None = None) -> None:

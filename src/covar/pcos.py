@@ -37,9 +37,6 @@ __all__ = [
     "ClusterStats",
     "ReliabilityWeights",
     "embed",
-    "trace_objective",
-    "enumerate_bipartitions",
-    "brute_force_partition",
     "spectral_assign",
     "cluster_statistics",
     "select_reliable_cluster",
@@ -48,7 +45,6 @@ __all__ = [
 ]
 
 DEFAULT_LAMBDA = 0.25
-_BRUTE_FORCE_LIMIT = 20
 _RANK_TOL = 1e-14
 
 
@@ -128,7 +124,7 @@ def embed(batch_stats: BatchStats, kind: str = "theory") -> EmbeddingMatrix:
 
 
 # ---------------------------------------------------------------------------
-# grouping objective and the exhaustive oracle
+# spectral route
 
 
 def _as_phi(phi) -> np.ndarray:
@@ -136,73 +132,6 @@ def _as_phi(phi) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != 2:
         raise DomainError(f"phi must be (2, N), got {arr.shape}")
     return arr
-
-
-def trace_objective(phi, selection, normalized: bool = True) -> float:
-    """Grouping objective of a bipartition given as cluster ids in {0, 1}.
-
-    Unnormalized: sum_c ||sum_{n in c} h_n||^2, i.e. Tr(S^T Phi^T Phi S).
-    Normalized divides each cluster's term by its size (the projection
-    form Tr(Phi^T P Phi)); it requires both clusters to be non-empty.
-    """
-    arr = _as_phi(phi)
-    a = np.asarray(selection)
-    if a.shape != (arr.shape[1],):
-        raise DomainError(f"assignment shape {a.shape} does not match N={arr.shape[1]}")
-    if a.size and not np.isin(a, (0, 1)).all():
-        raise DomainError("assignment entries must be 0 or 1")
-    total = 0.0
-    for c in (0, 1):
-        cols = arr[:, a == c]
-        n_c = cols.shape[1]
-        if n_c == 0:
-            if normalized:
-                raise DomainError(f"cluster {c} is empty; normalized objective undefined")
-            continue
-        s = cols.sum(axis=1)
-        term = float(s @ s)
-        total += term / n_c if normalized else term
-    return total
-
-
-def enumerate_bipartitions(n: int) -> np.ndarray:
-    """All non-trivial bipartitions of n samples with sample 0 in cluster 0.
-
-    Returns a (2^(n-1) - 1, n) int8 matrix in lexicographic order of the
-    assignment vector.  Complementary assignments have equal objectives,
-    so pinning sample 0 halves the enumeration without losing any value;
-    it also makes the first maximizer the lexicographically smallest one.
-    """
-    if not 2 <= n <= _BRUTE_FORCE_LIMIT:
-        raise DomainError(f"exhaustive enumeration supports 2 <= N <= {_BRUTE_FORCE_LIMIT}")
-    codes = np.arange(1, 1 << (n - 1), dtype=np.int64)
-    shifts = np.arange(n - 2, -1, -1, dtype=np.int64)
-    bits = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.int8)
-    return np.hstack([np.zeros((codes.size, 1), dtype=np.int8), bits])
-
-
-def brute_force_partition(phi) -> np.ndarray:
-    """Exhaustive maximizer of the normalized objective (oracle, N <= 20).
-
-    Returns the int64 assignment vector of cluster ids in {0, 1}; ties
-    resolve to the lexicographically smallest one.
-    """
-    arr = _as_phi(phi)
-    n = arr.shape[1]
-    parts = enumerate_bipartitions(n)
-    ones = parts.astype(np.float64)
-    sums1 = ones @ arr.T  # (M, 2) cluster-1 sums
-    total = arr.sum(axis=1)
-    sums0 = total[None, :] - sums1
-    n1 = ones.sum(axis=1)
-    n0 = n - n1
-    obj = (sums0 * sums0).sum(axis=1) / n0 + (sums1 * sums1).sum(axis=1) / n1
-    best = int(np.argmax(obj))
-    return parts[best].astype(np.int64)
-
-
-# ---------------------------------------------------------------------------
-# spectral route
 
 
 def _eig2_sym(a: float, b: float, c: float):

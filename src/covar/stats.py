@@ -17,7 +17,6 @@ only while rho < 1.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
@@ -26,7 +25,7 @@ from typing import ClassVar, TypeVar
 
 import numpy as np
 
-from .errors import DomainError, InfiniteCrossEntropyError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "ONE_HOT_TOL",
@@ -37,9 +36,7 @@ __all__ = [
     "PredictionStats",
     "RowColumns",
     "BatchStats",
-    "IdealDistribution",
     "compute_stats",
-    "exact_ce",
 ]
 
 # A row whose max confidence reaches 1 - ONE_HOT_TOL is flagged degenerate:
@@ -253,59 +250,3 @@ def compute_stats(batch: ProbabilityBatch) -> BatchStats:
     return BatchStats(
         max_class, max_conf, mu, residuals, deviations, rcv, rho, degenerate, n_classes=k
     )
-
-
-@dataclass(frozen=True)
-class IdealDistribution:
-    """The smoothed target q: q(k') = 1 - (K-1)*eps, q(k) = eps elsewhere."""
-
-    epsilon: float
-    max_class: int
-    n_classes: int
-
-    def __post_init__(self) -> None:
-        k = self.n_classes
-        if k < 2:
-            raise DomainError(f"need at least 2 classes, got {k}")
-        if not 0 <= self.max_class < k:
-            raise DomainError(f"max_class {self.max_class} outside [0, {k})")
-        if not 0.0 <= self.epsilon < 1.0 / (k - 1):
-            raise DomainError(
-                f"epsilon {self.epsilon!r} outside [0, 1/(K-1)) for K={k}"
-            )
-
-    def values(self) -> np.ndarray:
-        q = np.full(self.n_classes, self.epsilon)
-        q[self.max_class] = 1.0 - (self.n_classes - 1) * self.epsilon
-        return q
-
-
-def exact_ce(p_row: np.ndarray, q: IdealDistribution) -> float:
-    """Cross-entropy -sum_k q(k) log p(k) of one probability row against q.
-
-    With eps = 0 the residual term vanishes and zero residual entries are
-    fine (0 * log 0 = 0 convention); with eps > 0 an exact zero anywhere
-    raises :class:`InfiniteCrossEntropyError` rather than returning inf.
-    """
-    p = np.asarray(p_row, dtype=np.float64)
-    if p.ndim != 1 or p.shape[0] != q.n_classes:
-        raise DomainError(
-            f"row has shape {p.shape}, expected ({q.n_classes},)"
-        )
-    k = q.n_classes
-    eps = q.epsilon
-    kp = q.max_class
-    if p[kp] <= 0.0:
-        raise InfiniteCrossEntropyError(
-            f"p({kp}) = {p[kp]!r} where the target places mass {1.0 - (k - 1) * eps!r}"
-        )
-    head = -(1.0 - (k - 1) * eps) * math.log(p[kp])
-    if eps == 0.0:
-        return head
-    rest = np.delete(p, kp)
-    if np.any(rest <= 0.0):
-        j = int(np.argmax(rest <= 0.0))
-        raise InfiniteCrossEntropyError(
-            f"residual entry {j} is zero while epsilon={eps!r} places mass on it"
-        )
-    return head - eps * math.fsum(math.log(x) for x in rest)

@@ -25,16 +25,15 @@ from covar.decomposition import (
 from covar.io import load_matrix, matrix_digest, save_matrix
 from covar.pcos import (
     ClusterStats,
-    brute_force_partition,
     embed,
     gaussian_weights,
     pcos,
     select_reliable_cluster,
     spectral_assign,
-    trace_objective,
 )
 from covar.simulator import CovarPolicy, SyntheticConfig, evaluate_policies, generate
 from covar.stats import CONF_CEILING, ProbabilityBatch, compute_stats
+from oracles import brute_force_partition, trace_objective
 
 
 @contextmanager

@@ -3,10 +3,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import covar
 from covar.baseline import ece as compute_ece
 from covar.cli import run_cli
 from covar.decomposition import EpsilonPolicy, decompose_sample
@@ -238,6 +244,19 @@ def test_grid_stdout_and_frozen_corner(capsys):
     assert p2 == 0.5 and v2 > 0 and ce2 > ce
 
 
+def test_python_dash_m_entry_point_matches_run_cli(capsys):
+    argv = ["grid", "--p-steps", "2", "--v-steps", "2"]
+    # the child imports the same covar as this process
+    path = [str(Path(covar.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "covar", *argv], capture_output=True, text=True, env=env
+    )
+    code, out, _ = run(capsys, *argv)
+    assert (proc.returncode, proc.stderr) == (0, "") and code == 0
+    assert proc.stdout == out
+
+
 def test_grid_emit_file(capsys, tmp_path):
     target = tmp_path / "grid.csv"
     code, out, _ = run(
@@ -368,3 +387,19 @@ def test_bad_label_and_text_files_exit_2(capsys, matrix_csv, labels_file, tmp_pa
     save_matrix(load_matrix(matrix_csv), binary)
     code, _, err = run(capsys, "decompose", "--input", str(binary), "--format", "csv")
     assert code == 2 and "m.bin:1: not UTF-8" in err
+    # matrices that parse but fail the batch checks: the file is named too
+    header = struct.Struct("<4sBII")
+    invalid = {
+        "sum.csv": (b"c0,c1\n0.9,0.9\n", "row 0: sum 1.8 deviates"),
+        "nan.csv": (b"c0,c1\nnan,0.5\n", "row 0: non-finite entry"),
+        "n0.bin": (header.pack(b"COVR", 1, 0, 3), "batch must contain at least one sample"),
+        "k1.bin": (
+            header.pack(b"COVR", 1, 2, 1) + struct.pack("<2d", 1.0, 1.0),
+            "need at least 2 classes, got 1",
+        ),
+    }
+    for name, (content, message) in invalid.items():
+        path = tmp_path / name
+        path.write_bytes(content)
+        code, out, err = run(capsys, "decompose", "--input", str(path))
+        assert (code, out) == (2, "") and f"{path}: {message}" in err

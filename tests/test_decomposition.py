@@ -16,10 +16,10 @@ from covar.decomposition import (
     decompose_batch,
     decompose_sample,
     g_coefficient,
-    taylor_log_expand,
 )
-from covar.errors import AssumptionViolation, DomainError, InfiniteCrossEntropyError
+from covar.errors import DomainError, InfiniteCrossEntropyError
 from covar.stats import ProbabilityBatch, compute_stats
+from oracles import AssumptionViolation, IdealDistribution, exact_ce, taylor_log_expand
 
 ADAPTIVE = EpsilonPolicy.adaptive()
 
@@ -385,6 +385,34 @@ def test_kernel_matches_reference_on_random_rows(rows):
 @pytest.mark.parametrize("policy,literal", POLICY_CASES)
 def test_kernel_matches_reference_on_edge_rows(rows, policy, literal):
     assert_kernel_matches_reference(rows, policy, literal)
+
+
+@given(simplex_rows())
+@settings(max_examples=60)
+def test_kernel_exact_ce_matches_oracle(rows):
+    """The batch exact CE equals the per-row oracle against the same target.
+
+    Degenerate rows (canonicalized by the kernel) and rows with a zero
+    residual (infinite CE) are left out.  Tolerance: 8 ulp of the sum of
+    the magnitudes of the CE's terms.
+    """
+    stats = compute_stats(ProbabilityBatch.from_array(rows))
+    keep = ~stats.degenerate & (stats.residuals > 0.0).all(axis=1)
+    if not keep.any():
+        return
+    batch = ProbabilityBatch.from_array(rows[keep])
+    stats = compute_stats(batch)
+    k = batch.n_classes
+    for policy in (ADAPTIVE, EpsilonPolicy.fixed(0.01)):
+        cols = decompose_batch(stats, policy).samples
+        for i, row in enumerate(batch.values):
+            eps = float(cols.epsilon[i])
+            kp = int(stats.max_class[i])
+            want = exact_ce(row, IdealDistribution(eps, kp, k))
+            logs = np.abs(np.log(row))
+            scale = (1.0 - (k - 1) * eps) * logs[kp] + eps * (logs.sum() - logs[kp])
+            got = float(cols.exact_ce[i])
+            assert abs(got - want) <= 8 * math.ulp(scale), (i, got, want)
 
 
 def test_kernel_errors_match_reference():

@@ -15,3 +15,24 @@ def test_public_names_are_unique_and_resolve():
     for module in modules:
         for name in module.__all__:
             assert getattr(covar, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
+# Reference code the tests check against lives in tests/oracles.py.
+MOVED_TO_ORACLES = (
+    "IdealDistribution",
+    "exact_ce",
+    "taylor_log_expand",
+    "AssumptionViolation",
+    "trace_objective",
+    "enumerate_bipartitions",
+    "brute_force_partition",
+    "_BRUTE_FORCE_LIMIT",
+)
+
+
+def test_oracles_are_not_in_the_package():
+    modules = [covar] + [importlib.import_module(f"covar.{name}") for name in MODULES]
+    for name in MOVED_TO_ORACLES:
+        assert name not in covar.__all__
+        for module in modules:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"

@@ -15,17 +15,15 @@ from covar.pcos import (
     DEFAULT_LAMBDA,
     ClusterStats,
     EmbeddingMatrix,
-    brute_force_partition,
     cluster_statistics,
     embed,
-    enumerate_bipartitions,
     gaussian_weights,
     pcos,
     select_reliable_cluster,
     spectral_assign,
-    trace_objective,
 )
 from covar.stats import ProbabilityBatch, compute_stats
+from oracles import brute_force_partition, enumerate_bipartitions, trace_objective
 
 E1E1E2 = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 UNIT_PHI = np.random.default_rng(3).normal(size=(2, 17))

@@ -16,11 +16,10 @@ from covar.errors import (
 )
 from covar.stats import (
     CONF_CEILING,
-    IdealDistribution,
     ProbabilityBatch,
     compute_stats,
-    exact_ce,
 )
+from oracles import IdealDistribution, exact_ce
 
 # Hand-computed from the definitions: p = [0.7, 0.2, 0.1] gives
 # mu = 0.3/2 = 0.15, deviations (0.05, -0.05), v = 0.0025, rho = 1/3.
