@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .stats import ProbabilityBatch, compute_stats
+from .stats import ProbabilityBatch
 
 __all__ = [
     "IGNORE_LABEL",
@@ -75,9 +75,8 @@ def threshold_select(
     selected samples and ``IGNORE_LABEL`` (-1) elsewhere.  The comparison
     is inclusive, so tau = 1.0 keeps exactly the one-hot rows.
     """
-    stats = compute_stats(batch)
-    mask = stats.max_conf >= policy.tau
-    labels = np.where(mask, stats.max_class, IGNORE_LABEL)
+    mask = batch.max_conf >= policy.tau
+    labels = np.where(mask, batch.max_class, IGNORE_LABEL)
     return labels, mask
 
 

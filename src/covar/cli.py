@@ -32,7 +32,7 @@ from .io import (
 )
 from .pcos import DEFAULT_LAMBDA, pcos
 from .simulator import CovarPolicy, SyntheticConfig, evaluate_policies, generate
-from .stats import ProbabilityBatch, compute_stats
+from .stats import ProbabilityBatch, compute_stats  # noqa: F401  (perfbench wraps compute_stats)
 
 __all__ = ["run_cli"]
 
@@ -97,16 +97,15 @@ def _cmd_decompose(args) -> dict:
             ) from None
         policy = EpsilonPolicy.fixed(value)
         eps_echo = value
-    sts = compute_stats(batch)
-    agg = decompose_batch(sts, policy, paper_literal=args.paper_literal)
+    agg = decompose_batch(batch, policy, paper_literal=args.paper_literal)
     per = agg.samples
     samples = _rows(
         index=range(len(per)),
-        max_class=sts.max_class,
-        max_conf=sts.max_conf,
-        rcv=sts.rcv,
-        rho=sts.rho,
-        degenerate=sts.degenerate,
+        max_class=batch.max_class,
+        max_conf=batch.max_conf,
+        rcv=batch.rcv,
+        rho=batch.rho,
+        degenerate=batch.degenerate,
         epsilon=per.epsilon,
         g_coeff=per.g_coeff,
         exact_ce=per.exact_ce,
@@ -159,14 +158,13 @@ def _partition_section(result, lam: float, kind: str) -> dict:
 
 def _cmd_select(args) -> dict:
     batch = load_matrix(args.input, args.format)
-    sts = compute_stats(batch)
     result = pcos(batch, args.embedding, args.lam, alg1_exponent=args.alg1_exponent)
     samples = _rows(
-        index=range(len(sts)),
-        max_class=sts.max_class,
-        max_conf=sts.max_conf,
-        rcv=sts.rcv,
-        g_coeff=g_coefficient(sts.safe_conf, batch.n_classes, EpsilonPolicy.adaptive()),
+        index=range(len(batch)),
+        max_class=batch.max_class,
+        max_conf=batch.max_conf,
+        rcv=batch.rcv,
+        g_coeff=g_coefficient(batch.safe_conf, batch.n_classes, EpsilonPolicy.adaptive()),
         weight=result.weights,
         cluster=result.assignment,
         preserved=result.preserved_mask,
@@ -216,15 +214,14 @@ def _cmd_simulate(args) -> dict:
         save_matrix(batch, args.out, args.format)
     if args.labels_out:
         save_labels(labels, args.labels_out)
-    sts = compute_stats(batch)
-    correct = sts.max_class == labels
+    correct = batch.max_class == labels
     samples = _rows(
-        index=range(len(sts)),
+        index=range(len(batch)),
         true_label=labels,
-        max_class=sts.max_class,
+        max_class=batch.max_class,
         correct=correct,
-        max_conf=sts.max_conf,
-        rcv=sts.rcv,
+        max_conf=batch.max_conf,
+        rcv=batch.rcv,
     )
     return _report(
         "simulate",
@@ -233,8 +230,8 @@ def _cmd_simulate(args) -> dict:
         samples=samples,
         summary={
             "accuracy": float(np.mean(correct)),
-            "mean_max_conf": float(np.mean(sts.max_conf)),
-            "mean_rcv": float(np.mean(sts.rcv)),
+            "mean_max_conf": float(np.mean(batch.max_conf)),
+            "mean_rcv": float(np.mean(batch.rcv)),
         },
     )
 
@@ -280,8 +277,7 @@ def _cmd_compare(args) -> dict:
 
 def _cmd_ece(args) -> dict:
     batch, labels = _labelled_input(args)
-    sts = compute_stats(batch)
-    report = compute_ece(sts.max_conf, sts.max_class == labels, n_bins=args.bins)
+    report = compute_ece(batch.max_conf, batch.max_class == labels, n_bins=args.bins)
     bins = _rows(
         lower=report.bin_edges[:-1],
         upper=report.bin_edges[1:],

@@ -42,7 +42,7 @@ from typing import ClassVar, Literal, Sequence
 import numpy as np
 
 from .errors import DomainError, InfiniteCrossEntropyError
-from .stats import CONF_CEILING, ROW_SUM_ACCEPT, BatchStats, PredictionStats, RowColumns
+from .stats import CONF_CEILING, ROW_SUM_ACCEPT, PredictionStats, ProbabilityBatch, RowColumns
 
 __all__ = [
     "EpsilonPolicy",
@@ -314,7 +314,7 @@ def decompose_sample(
 
 
 def decompose_batch(
-    batch_stats: BatchStats,
+    batch_stats: ProbabilityBatch,
     policy: EpsilonPolicy,
     *,
     paper_literal: bool = False,

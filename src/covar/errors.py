@@ -21,7 +21,13 @@ class CovarError(ValueError):
 
 
 class ValidationError(CovarError):
-    """A probability batch or label vector failed structural validation."""
+    """A probability batch or label vector failed structural validation;
+    an error about one batch row carries its 0-based index as ``row`` and
+    the message without the ``row i:`` prefix as ``reason``."""
+
+    def __init__(self, reason: str, row: int | None = None) -> None:
+        super().__init__(reason if row is None else f"row {row}: {reason}")
+        self.reason, self.row = reason, row
 
 
 class ParseError(CovarError):

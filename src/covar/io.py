@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from array import array
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -68,7 +69,8 @@ def _lines(path: Path) -> Iterator[tuple[int, str]]:
             yield lineno, line.strip()
 
 
-def _load_csv(path: Path) -> ProbabilityBatch:
+def _read_csv(path: Path) -> tuple[np.ndarray, array]:
+    """The values of a CSV matrix and the file line of each of its rows."""
     lines = _lines(path)
     _, header = next(lines, (1, ""))
     if not header:
@@ -81,6 +83,7 @@ def _load_csv(path: Path) -> ProbabilityBatch:
         )
     k = len(cols)
     rows = []
+    row_lines = array("q")
     for lineno, line in lines:
         if not line:
             continue
@@ -91,12 +94,14 @@ def _load_csv(path: Path) -> ProbabilityBatch:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        row_lines.append(lineno)
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return ProbabilityBatch.from_array(np.array(rows, dtype=np.float64))
+    return np.array(rows, dtype=np.float64), row_lines
 
 
-def _load_binary(path: Path) -> ProbabilityBatch:
+def _read_binary(path: Path) -> tuple[np.ndarray, None]:
+    """The values of a binary matrix; its rows have no file lines."""
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
         raise ParseError(f"{path}: truncated header (offset 0)")
@@ -110,8 +115,7 @@ def _load_binary(path: Path) -> ProbabilityBatch:
         raise ParseError(
             f"{path}: file is {len(blob)} bytes, expected {expected} for N={n}, K={k}"
         )
-    values = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).reshape(n, k)
-    return ProbabilityBatch.from_array(values)
+    return np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).reshape(n, k), None
 
 
 def _matrix_format(path: Path, fmt: str | None) -> str:
@@ -133,13 +137,18 @@ def load_matrix(path: str | Path, fmt: str | None = None) -> ProbabilityBatch:
     (.csv -> csv, else binary) unless given explicitly.
 
     A :class:`ValidationError` from the batch checks is re-raised with
-    the path in front; parse errors already name it.
+    the path in front, and a CSV row's error names its file line instead
+    of its row index; parse errors already name the file.
     """
     p = Path(path)
-    load = _load_csv if _matrix_format(p, fmt) == "csv" else _load_binary
+    read = _read_csv if _matrix_format(p, fmt) == "csv" else _read_binary
+    # Returning frees the reader's temporaries before the statistics pass.
+    values, row_lines = read(p)
     try:
-        return load(p)
+        return ProbabilityBatch.from_array(values)
     except ValidationError as exc:
+        if row_lines is not None and exc.row is not None:
+            raise ValidationError(f"{p}:{row_lines[exc.row]}: {exc.reason}") from exc
         raise ValidationError(f"{p}: {exc}") from exc
 
 

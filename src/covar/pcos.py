@@ -28,7 +28,7 @@ import numpy as np
 
 from .decomposition import EpsilonPolicy, g_coefficient
 from .errors import DomainError
-from .stats import BatchStats, ProbabilityBatch, compute_stats
+from .stats import ProbabilityBatch, compute_stats  # noqa: F401  (perfbench wraps compute_stats)
 
 __all__ = [
     "DEFAULT_LAMBDA",
@@ -99,7 +99,7 @@ class ReliabilityWeights:
 # embedding
 
 
-def embed(batch_stats: BatchStats, kind: str = "theory") -> EmbeddingMatrix:
+def embed(batch_stats: ProbabilityBatch, kind: str = "theory") -> EmbeddingMatrix:
     """Stack per-sample statistics into the 2 x N embedding matrix.
 
     theory: row 0 = log p(k') (confidence reward, <= 0),
@@ -293,11 +293,10 @@ def pcos(
     *,
     alg1_exponent: bool = False,
 ) -> ReliabilityWeights:
-    """End-to-end pipeline: stats -> embed -> split -> score -> weights."""
+    """End-to-end pipeline: embed -> split -> score -> weights."""
     if not math.isfinite(lam):
         raise DomainError(f"lambda must be finite, got {lam!r}")
-    sts = compute_stats(batch)
-    em = embed(sts, kind)
+    em = embed(batch, kind)
     split = spectral_assign(em)
     cs = cluster_statistics(em, split.assignment)
     if split.rank_deficient:

@@ -24,7 +24,7 @@ import numpy as np
 from .baseline import ClassRetention, ThresholdPolicy, ece, retention_from_mask, threshold_select
 from .errors import DomainError
 from .pcos import DEFAULT_LAMBDA, pcos
-from .stats import ProbabilityBatch, compute_stats
+from .stats import ProbabilityBatch
 
 __all__ = [
     "SyntheticConfig",
@@ -77,6 +77,8 @@ class SyntheticConfig:
             raise DomainError(f"overconfidence_temp must be finite, got {self.overconfidence_temp!r}")
         if self.residual_mode not in ("uniform", "bimodal"):
             raise DomainError(f"unknown residual_mode {self.residual_mode!r}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @classmethod
     def uniform_priors(cls, n_samples: int, n_classes: int, **kw) -> "SyntheticConfig":
@@ -95,6 +97,11 @@ def generate(config: SyntheticConfig) -> tuple[ProbabilityBatch, np.ndarray]:
     Deterministic for a given config: one PCG64 stream seeded from
     ``config.seed`` drives every draw in a fixed order.
     """
+    rows, y = _draw(config)  # frees the draw's temporaries before the statistics pass
+    return ProbabilityBatch.from_array(rows), y
+
+
+def _draw(config: SyntheticConfig) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(config.seed)
     n, k = config.n_samples, config.n_classes
     y = rng.choice(k, size=n, p=np.asarray(config.class_priors))
@@ -155,7 +162,7 @@ def generate(config: SyntheticConfig) -> tuple[ProbabilityBatch, np.ndarray]:
             rows[need] += flat[:, None]
             rows[idx[need], arg[need]] = target
 
-    return ProbabilityBatch.from_array(rows), y
+    return rows, y
 
 
 @dataclass(frozen=True)
@@ -190,11 +197,10 @@ def evaluate_policies(
     the same for every policy.
     """
     y = np.asarray(true_labels)
-    stats = compute_stats(batch)
-    if y.shape != stats.max_class.shape:
+    if y.shape != batch.max_class.shape:
         raise DomainError("true_labels length must match the batch")
-    correct = stats.max_class == y
-    cal = ece(stats.max_conf, correct, n_bins=15).ece
+    correct = batch.max_class == y
+    cal = ece(batch.max_conf, correct, n_bins=15).ece
 
     out = []
     for policy in policies:

@@ -13,6 +13,9 @@ The residual-scale ratio rho = max_k |p(k) - mu| / mu measures how far
 the residual entries stray from their mean in relative terms; the
 second-order expansion used by :mod:`covar.decomposition` is certified
 only while rho < 1.
+
+A :class:`ProbabilityBatch` carries these statistics as columns, computed
+once when the batch is validated.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ __all__ = [
     "ProbabilityBatch",
     "PredictionStats",
     "RowColumns",
-    "BatchStats",
     "compute_stats",
 ]
 
@@ -54,62 +56,6 @@ CONF_CEILING = 1.0 - 1e-6
 # renormalized.  Anything worse is rejected.
 ROW_SUM_ACCEPT = 1e-9
 ROW_SUM_REJECT = 1e-6
-
-
-@dataclass(frozen=True)
-class ProbabilityBatch:
-    """A validated (N, K) row-stochastic float64 matrix.
-
-    Build instances through :meth:`from_array`, which validates entries,
-    renormalizes rows with small sum drift and marks the array read-only.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.values.ndim != 2:
-            raise ValidationError(f"expected a 2-d array, got ndim={self.values.ndim}")
-        n, k = self.values.shape
-        if n < 1:
-            raise ValidationError("batch must contain at least one sample")
-        if k < 2:
-            raise ValidationError(f"need at least 2 classes, got {k}")
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.values.shape[1]
-
-    @classmethod
-    def from_array(cls, values: np.ndarray) -> "ProbabilityBatch":
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValidationError(f"expected a 2-d array, got ndim={arr.ndim}")
-        if not np.all(np.isfinite(arr)):
-            row = int(np.argwhere(~np.isfinite(arr).all(axis=1))[0, 0])
-            raise ValidationError(f"row {row}: non-finite entry")
-        neg = arr < 0.0
-        if neg.any():
-            row = int(np.argwhere(neg.any(axis=1))[0, 0])
-            raise ValidationError(f"row {row}: negative entry {float(arr[row][neg[row]][0])!r}")
-        sums = arr.sum(axis=1)
-        drift = np.abs(sums - 1.0)
-        bad = drift > ROW_SUM_REJECT
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise ValidationError(
-                f"row {row}: sum {float(sums[row])!r} deviates from 1 by more than {ROW_SUM_REJECT}"
-            )
-        fix = drift > ROW_SUM_ACCEPT
-        if fix.any():
-            arr = arr.copy()
-            arr[fix] = arr[fix] / sums[fix, None]
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        return cls(arr)
 
 
 @dataclass(frozen=True)
@@ -149,8 +95,8 @@ class RowColumns(Sequence[R]):
     the record type ``row_type``.
 
     Fields whose value is not an array (such as ``n_classes``) are shared
-    by every row.  The columns are marked read-only on construction, and
-    the instance is also a sequence of ``row_type`` records, each built
+    by every row.  Every array field is marked read-only on construction,
+    and the instance is also a sequence of ``row_type`` records, each built
     only when indexed or iterated.
     """
 
@@ -162,8 +108,7 @@ class RowColumns(Sequence[R]):
         cls._names = tuple(f.name for f in fields(cls.row_type))
 
     def __post_init__(self) -> None:
-        for name in self._names:
-            col = getattr(self, name)
+        for col in vars(self).values():
             if isinstance(col, np.ndarray):
                 col.setflags(write=False)
 
@@ -193,16 +138,19 @@ class RowColumns(Sequence[R]):
 
 
 @dataclass(frozen=True, eq=False)
-class BatchStats(RowColumns[PredictionStats]):
-    """:class:`PredictionStats` of a whole batch, one read-only array per field.
+class ProbabilityBatch(RowColumns[PredictionStats]):
+    """A validated (N, K) row-stochastic float64 matrix ``values`` with its
+    :class:`PredictionStats` as columns, one read-only array per field.
 
     ``residuals`` and ``deviations`` have shape (N, K-1); every other
     column has shape (N,).  The batch is also a sequence of per-row
     :class:`PredictionStats`, each built only when indexed or iterated.
+    Build instances through :meth:`from_array`.
     """
 
     row_type: ClassVar[type] = PredictionStats
 
+    values: np.ndarray
     max_class: np.ndarray
     max_conf: np.ndarray
     residual_mean: np.ndarray
@@ -214,39 +162,74 @@ class BatchStats(RowColumns[PredictionStats]):
     n_classes: int
 
     @property
+    def n_samples(self) -> int:
+        return self.values.shape[0]
+
+    @property
     def safe_conf(self) -> np.ndarray:
         """Max confidence clamped to ``CONF_CEILING`` for 1-p denominators."""
         return np.minimum(self.max_conf, CONF_CEILING)
 
+    @classmethod
+    def from_array(cls, values: np.ndarray) -> "ProbabilityBatch":
+        """Validate the entries, renormalize rows with small sum drift and
+        compute the per-row statistics; a row's error carries its index as
+        ``ValidationError.row``.  Argmax ties resolve to the lowest class
+        index.  Rows with max confidence at or above 1 - 1e-12 are flagged
+        degenerate, with rho 0 when the residual mean underflows to zero.
+        """
+        arr = np.asarray(values, dtype=np.float64)
+        if arr.ndim != 2:
+            raise ValidationError(f"expected a 2-d array, got ndim={arr.ndim}")
+        n, k = arr.shape
+        if n < 1:
+            raise ValidationError("batch must contain at least one sample")
+        if k < 2:
+            raise ValidationError(f"need at least 2 classes, got {k}")
+        if not np.all(np.isfinite(arr)):
+            row = int(np.argwhere(~np.isfinite(arr).all(axis=1))[0, 0])
+            raise ValidationError("non-finite entry", row=row)
+        neg = arr < 0.0
+        if neg.any():
+            row = int(np.argwhere(neg.any(axis=1))[0, 0])
+            raise ValidationError(f"negative entry {float(arr[row][neg[row]][0])!r}", row=row)
+        sums = arr.sum(axis=1)
+        drift = np.abs(sums - 1.0)
+        bad = drift > ROW_SUM_REJECT
+        if bad.any():
+            row = int(np.argmax(bad))
+            reason = f"sum {float(sums[row])!r} deviates from 1 by more than {ROW_SUM_REJECT}"
+            raise ValidationError(reason, row=row)
+        fix = drift > ROW_SUM_ACCEPT
+        if fix.any():
+            arr = arr.copy()
+            arr[fix] = arr[fix] / sums[fix, None]
+        vals = np.ascontiguousarray(arr)
 
-def compute_stats(batch: ProbabilityBatch) -> BatchStats:
-    """Compute the per-row statistics of the batch as columns.
+        idx = np.arange(n)
+        max_class = vals.argmax(axis=1)  # first maximum wins ties
+        max_conf = vals[idx, max_class]
+        mu = (1.0 - max_conf) / (k - 1)
+        # A row that is uniform up to the last ulp can have its float row sum
+        # land just below 1, which would put mu one ulp above max_conf and
+        # break the exact ordering p(k') >= mu that downstream sign arguments
+        # rely on.  Clamping costs at most one ulp and restores the invariant
+        # the exact simplex row satisfies.
+        np.minimum(mu, max_conf, out=mu)
+        keep = np.ones((n, k), dtype=bool)
+        keep[idx, max_class] = False
+        residuals = vals[keep].reshape(n, k - 1)
+        deviations = residuals - mu[:, None]
+        rcv = (deviations * deviations).sum(axis=1) / (k - 1)
+        max_abs_dev = np.abs(deviations).max(axis=1)
+        degenerate = max_conf >= 1.0 - ONE_HOT_TOL
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = np.where(mu > 0.0, max_abs_dev / np.where(mu > 0.0, mu, 1.0), 0.0)
+        return cls(
+            vals, max_class, max_conf, mu, residuals, deviations, rcv, rho, degenerate, n_classes=k
+        )
 
-    Ties in the argmax resolve to the lowest class index.  Rows with
-    max confidence at or above 1 - 1e-12 come back flagged degenerate,
-    with rho reported as 0 when the residual mean underflows to zero.
-    """
-    vals = batch.values
-    n, k = vals.shape
-    idx = np.arange(n)
-    max_class = vals.argmax(axis=1)  # first maximum wins ties
-    max_conf = vals[idx, max_class]
-    mu = (1.0 - max_conf) / (k - 1)
-    # A row that is uniform up to the last ulp can have its float row sum
-    # land just below 1, which would put mu one ulp above max_conf and
-    # break the exact ordering p(k') >= mu that downstream sign arguments
-    # rely on.  Clamping costs at most one ulp and restores the invariant
-    # the exact simplex row satisfies.
-    np.minimum(mu, max_conf, out=mu)
-    keep = np.ones((n, k), dtype=bool)
-    keep[idx, max_class] = False
-    residuals = vals[keep].reshape(n, k - 1)
-    deviations = residuals - mu[:, None]
-    rcv = (deviations * deviations).sum(axis=1) / (k - 1)
-    max_abs_dev = np.abs(deviations).max(axis=1)
-    degenerate = max_conf >= 1.0 - ONE_HOT_TOL
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.where(mu > 0.0, max_abs_dev / np.where(mu > 0.0, mu, 1.0), 0.0)
-    return BatchStats(
-        max_class, max_conf, mu, residuals, deviations, rcv, rho, degenerate, n_classes=k
-    )
+
+def compute_stats(batch: ProbabilityBatch) -> ProbabilityBatch:
+    """The batch itself, whose statistics ``from_array`` already computed."""
+    return batch

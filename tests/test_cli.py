@@ -358,6 +358,8 @@ def test_fewer_than_two_classes_exit_2(capsys, command):
         (("compare", "--lambda", "inf", "--n", "50", "--k", "3"), "lambda must be finite, got inf"),
         (("simulate", "--n", "5", "--k", "3", "--temp", "inf"), "overconfidence_temp must be finite, got inf"),
         (("simulate", "--n", "5", "--k", "3", "--priors", "nan,0.5,0.5"), "(nan, 0.5, 0.5)"),
+        (("simulate", "--n", "5", "--k", "3", "--seed", "-1"), "seed must be a non-negative integer, got -1"),
+        (("compare", "--n", "50", "--k", "3", "--seed", "-7"), "seed must be a non-negative integer, got -7"),
     ],
 )
 def test_non_finite_config_values_are_named(capsys, matrix_csv, argv, named):
@@ -387,19 +389,25 @@ def test_bad_label_and_text_files_exit_2(capsys, matrix_csv, labels_file, tmp_pa
     save_matrix(load_matrix(matrix_csv), binary)
     code, _, err = run(capsys, "decompose", "--input", str(binary), "--format", "csv")
     assert code == 2 and "m.bin:1: not UTF-8" in err
-    # matrices that parse but fail the batch checks: the file is named too
+    # matrices that parse but fail the batch checks: the file is named too,
+    # with the file line of a bad CSV row and the row index of a binary one
     header = struct.Struct("<4sBII")
     invalid = {
-        "sum.csv": (b"c0,c1\n0.9,0.9\n", "row 0: sum 1.8 deviates"),
-        "nan.csv": (b"c0,c1\nnan,0.5\n", "row 0: non-finite entry"),
-        "n0.bin": (header.pack(b"COVR", 1, 0, 3), "batch must contain at least one sample"),
+        "sum.csv": (b"c0,c1\n0.9,0.9\n", ":2: sum 1.8 deviates"),
+        "nan.csv": (b"c0,c1\nnan,0.5\n", ":2: non-finite entry"),
+        "blank.csv": (b"c0,c1\n0.5,0.5\n\n0.9,0.9\n", ":4: sum 1.8 deviates"),
+        "sum.bin": (
+            header.pack(b"COVR", 1, 1, 2) + struct.pack("<2d", 0.9, 0.9),
+            ": row 0: sum 1.8 deviates",
+        ),
+        "n0.bin": (header.pack(b"COVR", 1, 0, 3), ": batch must contain at least one sample"),
         "k1.bin": (
             header.pack(b"COVR", 1, 2, 1) + struct.pack("<2d", 1.0, 1.0),
-            "need at least 2 classes, got 1",
+            ": need at least 2 classes, got 1",
         ),
     }
     for name, (content, message) in invalid.items():
         path = tmp_path / name
         path.write_bytes(content)
         code, out, err = run(capsys, "decompose", "--input", str(path))
-        assert (code, out) == (2, "") and f"{path}: {message}" in err
+        assert (code, out) == (2, "") and f"{path}{message}" in err

@@ -36,3 +36,12 @@ def test_oracles_are_not_in_the_package():
         assert name not in covar.__all__
         for module in modules:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_one_batch_object():
+    # ProbabilityBatch carries the per-row statistics; there is no second
+    # columnar statistics type.
+    stats = importlib.import_module("covar.stats")
+    assert "BatchStats" not in covar.__all__
+    assert not hasattr(stats, "BatchStats")
+    assert len(covar.__all__) == 56

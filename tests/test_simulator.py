@@ -51,6 +51,9 @@ def test_config_validation():
         )
     with pytest.raises(DomainError, match="inf"):
         SyntheticConfig.uniform_priors(10, 3, base_accuracy=0.5, overconfidence_temp=math.inf)
+    for seed in (-1, 2.5, "3"):  # numpy's seeding would raise a plain ValueError or TypeError
+        with pytest.raises(DomainError, match=f"got {seed!r}"):
+            SyntheticConfig.uniform_priors(10, 3, base_accuracy=0.5, seed=seed)
     # noiseless configuration is allowed
     SyntheticConfig.uniform_priors(10, 3, base_accuracy=1.0)
 

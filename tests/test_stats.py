@@ -1,6 +1,7 @@
 """Row statistics: argmax, residual mean, RCV, rho, degeneracy, exact CE."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from covar.errors import (
 )
 from covar.stats import (
     CONF_CEILING,
+    PredictionStats,
     ProbabilityBatch,
     compute_stats,
 )
@@ -118,6 +120,38 @@ def test_batch_values_are_read_only():
     b = batch_of(ROW3)
     with pytest.raises(ValueError):
         b.values[0, 0] = 0.5
+    for name in ("values", *(f.name for f in dataclasses.fields(PredictionStats))):
+        column = getattr(b, name)
+        if isinstance(column, np.ndarray):
+            with pytest.raises(ValueError):
+                column[0] = 0
+    # the renormalized copy is read-only too
+    drifted = ProbabilityBatch.from_array(np.array([ROW3]) * (1.0 + 5e-8))
+    assert not drifted.values.flags.writeable
+
+
+def test_batch_is_its_own_statistics():
+    b = batch_of([ROW3, ROW3[::-1]])
+    assert compute_stats(b) is b
+    assert (len(b), b.n_samples, b.n_classes) == (2, 2, 3)
+    np.testing.assert_array_equal(b.max_class, [0, 2])
+    assert b[1].max_class == 2 and list(b)[0].max_conf == 0.7
+
+
+def test_shape_is_checked_before_entries():
+    with pytest.raises(ValidationError, match="need at least 2 classes, got 1") as info:
+        ProbabilityBatch.from_array(np.full((1, 1), np.nan))
+    assert info.value.row is None
+    with pytest.raises(ValidationError, match="at least one sample"):
+        ProbabilityBatch.from_array(np.full((0, 3), np.nan))
+
+
+def test_row_errors_carry_the_row_index():
+    with pytest.raises(ValidationError) as info:
+        ProbabilityBatch.from_array(np.array([[0.5, 0.5], [0.9, 0.9]]))
+    assert info.value.row == 1
+    assert str(info.value) == f"row 1: {info.value.reason}"
+    assert info.value.reason.startswith("sum 1.8 deviates")
 
 
 SCALAR_FIELDS = ("max_class", "max_conf", "residual_mean", "rcv", "rho", "degenerate")
