@@ -84,7 +84,7 @@ def _retention_list(retention: dict) -> list:
 
 
 def _cmd_decompose(args) -> dict:
-    batch = load_matrix(args.input, args.format)
+    batch = load_matrix(args.input)
     if args.epsilon == "adaptive":
         policy = EpsilonPolicy.adaptive()
         eps_echo: object = "adaptive"
@@ -157,7 +157,7 @@ def _partition_section(result, lam: float, kind: str) -> dict:
 
 
 def _cmd_select(args) -> dict:
-    batch = load_matrix(args.input, args.format)
+    batch = load_matrix(args.input)
     result = pcos(batch, args.embedding, args.lam, alg1_exponent=args.alg1_exponent)
     samples = _rows(
         index=range(len(batch)),
@@ -200,7 +200,7 @@ def _synthetic_config(args) -> SyntheticConfig:
 
 def _labelled_input(args) -> tuple[ProbabilityBatch, np.ndarray]:
     """The --input matrix and its --labels, one label in [0, K) per sample."""
-    batch = load_matrix(args.input, args.format)
+    batch = load_matrix(args.input)
     labels = load_labels(args.labels, batch.n_classes)
     if labels.shape[0] != batch.n_samples:
         raise CovarError(f"{args.labels}: {labels.shape[0]} labels for {batch.n_samples} samples")
@@ -211,7 +211,7 @@ def _cmd_simulate(args) -> dict:
     config = _synthetic_config(args)
     batch, labels = generate(config)
     if args.out:
-        save_matrix(batch, args.out, args.format)
+        save_matrix(batch, args.out)
     if args.labels_out:
         save_labels(labels, args.labels_out)
     correct = batch.max_class == labels
@@ -313,12 +313,7 @@ def _cmd_grid(args) -> str:
             if not math.isfinite(ce):
                 raise CovarError(f"--v-max {args.v_max} makes ce overflow at p = {p}")
             lines.append(f"{format_float(p)},{format_float(v)},{format_float(ce)}")
-    text = "\n".join(lines) + "\n"
-    if args.emit == "-":
-        return text
-    with open(args.emit, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return ""
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +321,7 @@ def _cmd_grid(args) -> str:
 
 
 def _add_matrix_args(sp, required: bool = True) -> None:
-    sp.add_argument("--input", required=required, help="probability matrix file")
-    sp.add_argument(
-        "--format",
-        choices=("csv", "binary"),
-        default=None,
-        help="matrix format (default: by extension, .csv -> csv else binary)",
-    )
+    sp.add_argument("--input", required=required, help="matrix file (.csv is CSV, else binary)")
 
 
 def _add_simulate_args(sp, required: bool = True) -> None:
@@ -372,9 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="generate a synthetic batch")
     _add_simulate_args(sp)
-    sp.add_argument("--out", default=None, help="also write the matrix here")
+    sp.add_argument("--out", default=None, help="also write the matrix here (.csv is CSV, else binary)")
     sp.add_argument("--labels-out", default=None, help="also write true labels here")
-    sp.add_argument("--format", choices=("csv", "binary"), default=None)
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("compare", help="fixed threshold vs covar-pcos on labelled data")
@@ -400,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--v-max", type=float, default=0.01)
     sp.add_argument("--p-steps", type=int, default=50)
     sp.add_argument("--v-steps", type=int, default=50)
-    sp.add_argument("--emit", default="-", help="output path ('-' for stdout)")
     sp.set_defaults(func=_cmd_grid)
 
     return parser
@@ -414,7 +401,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         sys.stdout.write(serialize_report(out) if isinstance(out, dict) else out)
     except SystemExit as exc:  # argparse already printed usage or help
         return int(exc.code or 0)
-    except (CovarError, OSError) as exc:
+    except (CovarError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

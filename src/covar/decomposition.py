@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Literal, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -59,35 +59,30 @@ __all__ = [
 class EpsilonPolicy:
     """How much target mass each residual class receives.
 
-    ``adaptive`` sets eps = mu per sample; ``fixed`` uses one explicit
-    value for the whole run (it must stay below 1/(K-1)).
+    ``value=None`` (:meth:`adaptive`) sets eps = mu per sample; a value
+    (:meth:`fixed`) is used for the whole run and must be positive and
+    stay below 1/(K-1).
     """
 
-    mode: Literal["fixed", "adaptive"]
     value: float | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("fixed", "adaptive"):
-            raise DomainError(f"unknown epsilon mode {self.mode!r}")
-        if self.mode == "fixed":
-            if self.value is None or not self.value > 0.0:
-                raise DomainError("fixed mode requires an explicit epsilon > 0")
-        elif self.value is not None:
-            raise DomainError("adaptive mode takes no explicit value")
+        if self.value is not None and not self.value > 0.0:
+            raise DomainError(f"a fixed epsilon must be > 0, got {self.value!r}")
 
     @classmethod
     def adaptive(cls) -> "EpsilonPolicy":
-        return cls(mode="adaptive")
+        return cls()
 
     @classmethod
     def fixed(cls, value: float) -> "EpsilonPolicy":
-        return cls(mode="fixed", value=value)
+        return cls(value)
 
     def resolve(self, residual_mean: float, n_classes: int) -> float:
         """The eps used for a sample with the given residual mean."""
-        if self.mode == "adaptive":
+        if self.value is None:
             return residual_mean
-        eps = float(self.value)  # type: ignore[arg-type]
+        eps = float(self.value)
         if eps >= 1.0 / (n_classes - 1):
             raise DomainError(
                 f"fixed epsilon {eps!r} must stay below 1/(K-1) for K={n_classes}"
@@ -179,7 +174,7 @@ def g_coefficient(max_conf, n_classes: int, policy: EpsilonPolicy):
         value = float(max_conf.flat[bad.argmax()]) if bad.any() else floor
     if not floor <= value <= CONF_CEILING:
         raise DomainError(f"max_conf {value!r} outside [1/K, {CONF_CEILING}] for K={k}")
-    if policy.mode == "adaptive":
+    if policy.value is None:
         return (k - 1) ** 2 / (2.0 * (1.0 - max_conf))
     eps = policy.resolve((1.0 - max_conf) / (k - 1), k)
     return (k - 1) ** 3 * eps / (2.0 * (1.0 - max_conf) ** 2)

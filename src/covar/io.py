@@ -1,6 +1,7 @@
 """File formats: probability matrices, label vectors, and run reports.
 
-Matrix files come in two flavors:
+Matrix files come in two flavors, chosen by the file name: a ``.csv``
+name, in any case, is CSV and any other name is binary.
 
 * CSV with header ``c0,...,c{K-1}``, one sample per line, floats written
   with 17 significant digits (lossless for float64).
@@ -118,12 +119,8 @@ def _read_binary(path: Path) -> tuple[np.ndarray, None]:
     return np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).reshape(n, k), None
 
 
-def _matrix_format(path: Path, fmt: str | None) -> str:
-    if fmt is None:
-        return "csv" if path.suffix.lower() == ".csv" else "binary"
-    if fmt not in ("csv", "binary"):
-        raise ParseError(f"unknown matrix format {fmt!r}")
-    return fmt
+def _is_csv(path: Path) -> bool:
+    return path.suffix.lower() == ".csv"
 
 
 def _encoding(batch: ProbabilityBatch) -> tuple[bytes, np.ndarray]:
@@ -132,16 +129,15 @@ def _encoding(batch: ProbabilityBatch) -> tuple[bytes, np.ndarray]:
     return header, np.ascontiguousarray(batch.values, dtype="<f8")
 
 
-def load_matrix(path: str | Path, fmt: str | None = None) -> ProbabilityBatch:
-    """Read a probability matrix; format inferred from the extension
-    (.csv -> csv, else binary) unless given explicitly.
+def load_matrix(path: str | Path) -> ProbabilityBatch:
+    """Read a probability matrix in the format its file name selects.
 
     A :class:`ValidationError` from the batch checks is re-raised with
     the path in front, and a CSV row's error names its file line instead
     of its row index; parse errors already name the file.
     """
     p = Path(path)
-    read = _read_csv if _matrix_format(p, fmt) == "csv" else _read_binary
+    read = _read_csv if _is_csv(p) else _read_binary
     # Returning frees the reader's temporaries before the statistics pass.
     values, row_lines = read(p)
     try:
@@ -152,9 +148,9 @@ def load_matrix(path: str | Path, fmt: str | None = None) -> ProbabilityBatch:
         raise ValidationError(f"{p}: {exc}") from exc
 
 
-def save_matrix(batch: ProbabilityBatch, path: str | Path, fmt: str | None = None) -> None:
+def save_matrix(batch: ProbabilityBatch, path: str | Path) -> None:
     p = Path(path)
-    if _matrix_format(p, fmt) == "csv":
+    if _is_csv(p):
         lines = [",".join(f"c{i}" for i in range(batch.n_classes))]
         for row in batch.values:
             lines.append(",".join(format_float(x) for x in row))

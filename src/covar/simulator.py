@@ -42,6 +42,17 @@ _UNIFORM_CONC = 32.0
 _BIMODAL_MAIN, _BIMODAL_REST = 8.0, 0.35
 # Bimodal errors land in this max-confidence band after sharpening.
 _ERROR_CONF_FLOOR, _ERROR_CONF_SPAN = 0.955, 0.04
+# Above ImageNet-21k's 21,841 classes; the priors, K Python floats, are
+# echoed into every simulate and compare report.
+_MAX_CLASSES = 65_536
+
+
+def _check_n_classes(n_classes: int) -> None:
+    """Run before anything K-sized is built."""
+    if n_classes < 2:
+        raise DomainError("need at least 2 classes")
+    if n_classes > _MAX_CLASSES:
+        raise DomainError(f"need at most {_MAX_CLASSES} classes, got {n_classes}")
 
 
 @dataclass(frozen=True)
@@ -57,8 +68,7 @@ class SyntheticConfig:
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise DomainError("n_samples must be positive")
-        if self.n_classes < 2:
-            raise DomainError("need at least 2 classes")
+        _check_n_classes(self.n_classes)
         pri = np.asarray(self.class_priors, dtype=np.float64)
         if pri.shape != (self.n_classes,):
             raise DomainError(
@@ -82,7 +92,8 @@ class SyntheticConfig:
 
     @classmethod
     def uniform_priors(cls, n_samples: int, n_classes: int, **kw) -> "SyntheticConfig":
-        """Equal priors; divides by n_classes only when it is at least 1."""
+        """Equal priors, built only for a class count the simulator accepts."""
+        _check_n_classes(n_classes)
         return cls(
             n_samples=n_samples,
             n_classes=n_classes,

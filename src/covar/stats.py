@@ -23,7 +23,6 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 from typing import ClassVar, TypeVar
 
 import numpy as np
@@ -79,7 +78,10 @@ class PredictionStats:
     rcv: float
     rho: float
     degenerate: bool
-    n_classes: int
+
+    @property
+    def n_classes(self) -> int:
+        return len(self.residuals) + 1
 
     @property
     def safe_conf(self) -> float:
@@ -94,10 +96,9 @@ class RowColumns(Sequence[R]):
     """Base of a frozen dataclass holding one read-only column per field of
     the record type ``row_type``.
 
-    Fields whose value is not an array (such as ``n_classes``) are shared
-    by every row.  Every array field is marked read-only on construction,
-    and the instance is also a sequence of ``row_type`` records, each built
-    only when indexed or iterated.
+    Every column is marked read-only on construction, and the instance is
+    also a sequence of ``row_type`` records, each built only when indexed
+    or iterated.
     """
 
     row_type: ClassVar[type]
@@ -109,8 +110,7 @@ class RowColumns(Sequence[R]):
 
     def __post_init__(self) -> None:
         for col in vars(self).values():
-            if isinstance(col, np.ndarray):
-                col.setflags(write=False)
+            col.setflags(write=False)
 
     def __len__(self) -> int:
         # The first field of every record type is a per-row column.
@@ -127,9 +127,7 @@ class RowColumns(Sequence[R]):
         parts = []
         for name in self._names:
             col = getattr(self, name)
-            if not isinstance(col, np.ndarray):
-                parts.append(repeat(col))
-            elif col.ndim == 2:
+            if col.ndim == 2:
                 parts.append(col[start:stop])
             else:  # tolist() so rows hold Python scalars
                 parts.append(col[start:stop].tolist())
@@ -159,11 +157,14 @@ class ProbabilityBatch(RowColumns[PredictionStats]):
     rcv: np.ndarray
     rho: np.ndarray
     degenerate: np.ndarray
-    n_classes: int
 
     @property
     def n_samples(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def n_classes(self) -> int:
+        return self.values.shape[1]
 
     @property
     def safe_conf(self) -> np.ndarray:
@@ -225,9 +226,7 @@ class ProbabilityBatch(RowColumns[PredictionStats]):
         degenerate = max_conf >= 1.0 - ONE_HOT_TOL
         with np.errstate(divide="ignore", invalid="ignore"):
             rho = np.where(mu > 0.0, max_abs_dev / np.where(mu > 0.0, mu, 1.0), 0.0)
-        return cls(
-            vals, max_class, max_conf, mu, residuals, deviations, rcv, rho, degenerate, n_classes=k
-        )
+        return cls(vals, max_class, max_conf, mu, residuals, deviations, rcv, rho, degenerate)
 
 
 def compute_stats(batch: ProbabilityBatch) -> ProbabilityBatch:

@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -257,20 +258,15 @@ def test_python_dash_m_entry_point_matches_run_cli(capsys):
     assert proc.stdout == out
 
 
-def test_grid_emit_file(capsys, tmp_path):
-    target = tmp_path / "grid.csv"
-    code, out, _ = run(
-        capsys, "grid", "--emit", str(target), "--p-steps", "2", "--v-steps", "2"
-    )
-    assert code == 0 and out == ""
-    text = target.read_text()
-    assert text.startswith("p,v,ce\n") and len(text.strip().split("\n")) == 5
-
-
-def test_grid_emit_into_missing_directory(capsys, tmp_path):
-    code, out, err = run(capsys, "grid", "--emit", str(tmp_path / "missing" / "grid.csv"))
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "missing" in err
+@pytest.mark.parametrize(
+    "argv",
+    [("decompose", "--format", "csv"), ("simulate", "--format", "binary"), ("grid", "--emit", "x")],
+)
+def test_removed_flags_exit_2(capsys, matrix_csv, argv):
+    # the file name alone decides the matrix format, and grid writes to stdout
+    extra = {"decompose": ("--input", str(matrix_csv)), "simulate": ("--n", "5", "--k", "3")}
+    code, out, err = run(capsys, *argv, *extra.get(argv[0], ()))
+    assert (code, out) == (2, "") and f"unrecognized arguments: {' '.join(argv[1:])}" in err
 
 
 def test_grid_bad_ranges(capsys):
@@ -313,6 +309,11 @@ def test_missing_and_malformed_inputs(capsys, tmp_path):
     notprob.write_text("c0,c1\n0.9,0.9\n")
     code, _, _ = run(capsys, "decompose", "--input", str(notprob))
     assert code == 2
+    # an output path in a missing directory
+    code, out, err = run(
+        capsys, "simulate", "--n", "5", "--k", "3", "--out", str(tmp_path / "missing" / "m.bin")
+    )
+    assert (code, out) == (2, "") and err.startswith("error: ") and "missing" in err
 
 
 def test_argparse_level_exits(capsys):
@@ -351,6 +352,31 @@ def test_fewer_than_two_classes_exit_2(capsys, command):
     assert (code, out) == (2, "") and "at least 2 classes" in err
 
 
+@pytest.mark.parametrize("k", ["65537", "100000000"])
+def test_class_cap_exits_2_before_allocating(capsys, k):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "simulate", "--n", "2", "--k", k)
+    assert (code, out) == (2, "") and f"at most 65536 classes, got {k}" in err
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("grid", "--p-steps", str(10**17)),
+        ("ece", "--bins", str(10**17)),
+        ("simulate", "--n", str(10**17), "--k", "2"),
+    ],
+)
+def test_out_of_memory_requests_exit_2(capsys, matrix_csv, labels_file, argv):
+    # 1e17 float64s exceed any 57-bit address space, so the allocation
+    # fails at once whatever the overcommit policy
+    if argv[0] == "ece":
+        argv = (*argv, "--input", str(matrix_csv), "--labels", str(labels_file))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: Unable to allocate")
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -385,10 +411,12 @@ def test_bad_label_and_text_files_exit_2(capsys, matrix_csv, labels_file, tmp_pa
     latin.write_bytes(b"c0,c1,c2\n0.7,0.2,0.1\n0.5,0.3\xe9,0.2\n")
     code, _, err = run(capsys, "ece", "--input", str(latin), "--labels", str(labels_file))
     assert code == 2 and "latin.csv:3: not UTF-8" in err
-    binary = tmp_path / "m.bin"
-    save_matrix(load_matrix(matrix_csv), binary)
-    code, _, err = run(capsys, "decompose", "--input", str(binary), "--format", "csv")
-    assert code == 2 and "m.bin:1: not UTF-8" in err
+    # a binary container named .csv is read as CSV
+    save_matrix(load_matrix(matrix_csv), tmp_path / "m.bin")
+    misnamed = tmp_path / "binary.csv"
+    misnamed.write_bytes((tmp_path / "m.bin").read_bytes())
+    code, _, err = run(capsys, "decompose", "--input", str(misnamed))
+    assert code == 2 and "binary.csv:1: not UTF-8" in err
     # matrices that parse but fail the batch checks: the file is named too,
     # with the file line of a bad CSV row and the row index of a binary one
     header = struct.Struct("<4sBII")

@@ -78,6 +78,11 @@ def test_epsilon_policies_resolve():
         EpsilonPolicy.fixed(0.2).resolve(0.05, 11)  # 0.2 >= 1/10
     with pytest.raises(DomainError):
         EpsilonPolicy.fixed(-0.01).resolve(0.05, 3)
+    # no value means adaptive; a fixed value must be a positive number
+    assert EpsilonPolicy.adaptive() == EpsilonPolicy()
+    for bad in (0.0, math.nan):
+        with pytest.raises(DomainError, match="fixed epsilon must be > 0"):
+            EpsilonPolicy.fixed(bad)
 
 
 def test_g_coefficient_reference_values():

@@ -91,11 +91,12 @@ def test_non_utf8_text_names_file_and_line(tmp_path):
     p.write_bytes(b"c0,c1\n0.5,0.5\n0.25,0.7\xe95\n")
     with pytest.raises(ParseError, match=r"m\.csv:3: not UTF-8"):
         load_matrix(p)
-    # a binary container read as CSV fails on its first line
-    binary = tmp_path / "m.bin"
-    save_matrix(make_batch(), binary)
-    with pytest.raises(ParseError, match=r"m\.bin:1: not UTF-8"):
-        load_matrix(binary, fmt="csv")
+    # a binary container named .csv is read as CSV and fails on its first line
+    save_matrix(make_batch(), tmp_path / "m.bin")
+    misnamed = tmp_path / "m.csv"
+    misnamed.write_bytes((tmp_path / "m.bin").read_bytes())
+    with pytest.raises(ParseError, match=r"m\.csv:1: not UTF-8"):
+        load_matrix(misnamed)
     y = tmp_path / "y.txt"
     y.write_bytes(b"0\n1\n\xff\n")
     with pytest.raises(ParseError, match=r"y\.txt:3: not UTF-8"):
@@ -162,14 +163,16 @@ def test_format_inference_and_override(tmp_path):
     binish = tmp_path / "m.dat"
     save_matrix(batch, binish)
     assert binish.read_bytes()[:4] == MAGIC
-    # explicit fmt beats the extension
-    odd = tmp_path / "actually.csv"
-    save_matrix(batch, odd, fmt="binary")
-    assert load_matrix(odd, fmt="binary").n_classes == 3
-    with pytest.raises(ParseError):
-        load_matrix(odd, fmt="parquet")
-    with pytest.raises(ParseError):
-        save_matrix(batch, tmp_path / "x.bin", fmt="parquet")
+    # the suffix is matched in any case
+    upper = tmp_path / "M.CSV"
+    save_matrix(batch, upper)
+    assert upper.read_text() == csvish.read_text()
+    assert load_matrix(upper).values.tobytes() == batch.values.tobytes()
+    # the name overrides the content: CSV text named .bin is read as binary
+    textual = tmp_path / "m.bin"
+    textual.write_bytes(csvish.read_bytes())
+    with pytest.raises(ParseError, match=r"m\.bin: bad magic b'c0,c' at offset 0"):
+        load_matrix(textual)
 
 
 def test_matrix_digest_frozen_and_sensitive():

@@ -28,6 +28,10 @@ def test_config_validation():
     for k in (1, 0, -1):  # k = 0 must not divide by zero on the way
         with pytest.raises(DomainError, match="at least 2 classes"):
             SyntheticConfig.uniform_priors(10, k, base_accuracy=0.5)
+    with pytest.raises(DomainError, match="at most 65536 classes, got 65537"):
+        SyntheticConfig.uniform_priors(2, 65_537, base_accuracy=0.5)
+    with pytest.raises(DomainError, match="got 65537"):
+        SyntheticConfig(2, 65_537, (1.0,) + (0.0,) * 65_536, base_accuracy=0.5)
     with pytest.raises(DomainError):
         SyntheticConfig.uniform_priors(10, 3, base_accuracy=0.0)
     with pytest.raises(DomainError):
