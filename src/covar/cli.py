@@ -13,6 +13,7 @@ import argparse
 import math
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -207,13 +208,26 @@ def _labelled_input(args) -> tuple[ProbabilityBatch, np.ndarray]:
     return batch, labels
 
 
+def _save_outputs(*writes) -> None:
+    """Run each (save, data, path) whose path is set; a failure removes the
+    files this run created, so a failed run leaves none behind."""
+    writes = [(save, data, Path(path)) for save, data, path in writes if path]
+    created = [path for _, _, path in writes if not path.exists()]
+    try:
+        for save, data, path in writes:
+            save(data, path)
+    except BaseException:
+        for path in created:
+            path.unlink(missing_ok=True)
+        raise
+
+
 def _cmd_simulate(args) -> dict:
     config = _synthetic_config(args)
+    if args.out and args.labels_out and Path(args.out).resolve() == Path(args.labels_out).resolve():
+        raise CovarError(f"--out {args.out} and --labels-out {args.labels_out} name the same file")
     batch, labels = generate(config)
-    if args.out:
-        save_matrix(batch, args.out)
-    if args.labels_out:
-        save_labels(labels, args.labels_out)
+    _save_outputs((save_matrix, batch, args.out), (save_labels, labels, args.labels_out))
     correct = batch.max_class == labels
     samples = _rows(
         index=range(len(batch)),
@@ -237,29 +251,16 @@ def _cmd_simulate(args) -> dict:
 
 
 def _cmd_compare(args) -> dict:
-    if args.input is not None:
-        if args.labels is None:
-            raise CovarError("compare with --input also needs --labels")
-        batch, labels = _labelled_input(args)
-        source = str(args.input)
-        config_echo: dict = {}
-    elif args.n is None or args.k is None:
-        raise CovarError("compare needs --input/--labels or the simulate flags (--n, --k)")
-    else:
-        config = _synthetic_config(args)
-        batch, labels = generate(config)
-        source = "simulate"
-        config_echo = asdict(config)
+    batch, labels = _labelled_input(args)
     policies = [
         ThresholdPolicy(tau=args.tau),
         CovarPolicy(kind=args.embedding, lam=args.lam),
     ]
     evals = evaluate_policies(batch, labels, policies)
-    config_echo.update({"tau": args.tau, "embedding": args.embedding, "lambda": args.lam})
     return _report(
         "compare",
-        input=_input_section(batch, source),
-        config=config_echo,
+        input=_input_section(batch, str(args.input)),
+        config={"tau": args.tau, "embedding": args.embedding, "lambda": args.lam},
         policies=[
             {
                 "name": e.name,
@@ -320,18 +321,8 @@ def _cmd_grid(args) -> str:
 # wiring
 
 
-def _add_matrix_args(sp, required: bool = True) -> None:
-    sp.add_argument("--input", required=required, help="matrix file (.csv is CSV, else binary)")
-
-
-def _add_simulate_args(sp, required: bool = True) -> None:
-    sp.add_argument("--n", type=int, required=required, help="number of samples")
-    sp.add_argument("--k", type=int, required=required, help="number of classes")
-    sp.add_argument("--priors", default=None, help="comma-separated class priors (default uniform)")
-    sp.add_argument("--accuracy", type=float, default=0.75, help="base argmax accuracy")
-    sp.add_argument("--temp", type=float, default=1.0, help="overconfidence temperature (<1 sharpens)")
-    sp.add_argument("--residual", choices=("uniform", "bimodal"), default="uniform")
-    sp.add_argument("--seed", type=int, default=0)
+def _add_matrix_args(sp) -> None:
+    sp.add_argument("--input", required=True, help="matrix file (.csv is CSV, else binary)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,15 +351,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_select)
 
     sp = sub.add_parser("simulate", help="generate a synthetic batch")
-    _add_simulate_args(sp)
+    sp.add_argument("--n", type=int, required=True, help="number of samples")
+    sp.add_argument("--k", type=int, required=True, help="number of classes")
+    sp.add_argument("--priors", default=None, help="comma-separated class priors (default uniform)")
+    sp.add_argument("--accuracy", type=float, default=0.75, help="base argmax accuracy")
+    sp.add_argument("--temp", type=float, default=1.0, help="overconfidence temperature (<1 sharpens)")
+    sp.add_argument("--residual", choices=("uniform", "bimodal"), default="uniform")
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None, help="also write the matrix here (.csv is CSV, else binary)")
     sp.add_argument("--labels-out", default=None, help="also write true labels here")
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("compare", help="fixed threshold vs covar-pcos on labelled data")
-    _add_matrix_args(sp, required=False)
-    sp.add_argument("--labels", default=None, help="true labels (with --input)")
-    _add_simulate_args(sp, required=False)
+    _add_matrix_args(sp)
+    sp.add_argument("--labels", required=True, help="true labels, one per matrix row")
     sp.add_argument("--tau", type=float, default=0.95)
     sp.add_argument("--embedding", choices=("theory", "raw"), default="theory")
     sp.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
@@ -376,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ece", help="binned expected calibration error")
     _add_matrix_args(sp)
-    sp.add_argument("--labels", required=True)
+    sp.add_argument("--labels", required=True, help="true labels, one per matrix row")
     sp.add_argument("--bins", type=int, default=15)
     sp.set_defaults(func=_cmd_ece)
 

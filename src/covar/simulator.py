@@ -43,7 +43,7 @@ _BIMODAL_MAIN, _BIMODAL_REST = 8.0, 0.35
 # Bimodal errors land in this max-confidence band after sharpening.
 _ERROR_CONF_FLOOR, _ERROR_CONF_SPAN = 0.955, 0.04
 # Above ImageNet-21k's 21,841 classes; the priors, K Python floats, are
-# echoed into every simulate and compare report.
+# echoed into every simulate report.
 _MAX_CLASSES = 65_536
 
 

@@ -22,7 +22,7 @@ from covar.decomposition import (
     decompose_sample,
     g_coefficient,
 )
-from covar.io import load_matrix, matrix_digest, save_matrix
+from covar.io import load_matrix, matrix_digest, save_labels, save_matrix
 from covar.pcos import (
     ClusterStats,
     embed,
@@ -286,7 +286,9 @@ def test_criterion_10_io_and_cli_determinism(tmp_path, capsys):
         second = capsys.readouterr().out
         assert first and first == second
 
-        args = ["compare", "--n", "200", "--k", "5", "--seed", "4"]
+        labels = tmp_path / "y.txt"
+        save_labels(rng.integers(0, 6, size=128), labels)
+        args = ["compare", "--input", str(tmp_path / "m.csv"), "--labels", str(labels)]
         assert run_cli(args) == 0
         first = capsys.readouterr().out
         assert run_cli(args) == 0

@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 
 import covar
-from covar.baseline import ece as compute_ece
+from covar.baseline import ThresholdPolicy, ece as compute_ece
 from covar.cli import run_cli
 from covar.decomposition import EpsilonPolicy, decompose_sample
 from covar.io import load_labels, load_matrix, matrix_digest, parse_report, save_matrix
+from covar.pcos import DEFAULT_LAMBDA
+from covar.simulator import CovarPolicy, SyntheticConfig, evaluate_policies, generate
 from covar.stats import ProbabilityBatch, compute_stats
 
 
@@ -173,32 +175,63 @@ def test_compare_on_files(capsys, matrix_csv, labels_file):
     assert fixed["selected_accuracy"] == pytest.approx(1.0)
 
 
-def test_compare_simulate_path(capsys):
-    code, out, _ = run(
-        capsys, "compare", "--n", "300", "--k", "6", "--accuracy", "0.75",
-        "--temp", "0.25", "--residual", "bimodal", "--seed", "1",
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--n", "999"), ("--k", "7"), ("--priors", "0.5,0.5"), ("--accuracy", "0.5"),
+        ("--temp", "0.1"), ("--residual", "bimodal"), ("--seed", "5"),
+    ],
+)
+def test_compare_simulation_flags_exit_2(capsys, matrix_csv, labels_file, flag, value):
+    # compare reads its batch only from files; simulate --out/--labels-out writes them
+    files = ("--input", str(matrix_csv), "--labels", str(labels_file))
+    code, out, err = run(capsys, "compare", *files, flag, value)
+    assert (code, out) == (2, "") and f"unrecognized arguments: {flag} {value}" in err
+
+
+@pytest.mark.parametrize("name", ["m.csv", "m.bin"])
+def test_compare_on_simulated_files_matches_library(capsys, tmp_path, name):
+    mpath, ypath = tmp_path / name, tmp_path / "y.txt"
+    code, _, _ = run(
+        capsys, "simulate", "--n", "300", "--k", "6", "--temp", "0.25",
+        "--residual", "bimodal", "--seed", "1", "--out", str(mpath), "--labels-out", str(ypath),
     )
     assert code == 0
+    code, out, err = run(capsys, "compare", "--input", str(mpath), "--labels", str(ypath))
+    assert (code, err) == (0, "")
     doc = parse_report(out)
-    assert doc["input"]["source"] == "simulate"
-    assert doc["config"]["tau"] == 0.95
-    assert len(doc["policies"]) == 2
+    assert doc["config"] == {"tau": 0.95, "embedding": "theory", "lambda": DEFAULT_LAMBDA}
+    config = SyntheticConfig.uniform_priors(
+        300, 6, base_accuracy=0.75, overconfidence_temp=0.25, residual_mode="bimodal", seed=1
+    )
+    policies = [ThresholdPolicy(tau=0.95), CovarPolicy(kind="theory", lam=DEFAULT_LAMBDA)]
+    evals = evaluate_policies(*generate(config), policies)
+    assert len(doc["policies"]) == len(evals)
+    for got, e in zip(doc["policies"], evals):
+        want = {
+            "name": e.name,
+            "n_selected": e.n_selected,
+            "selected_accuracy": e.selected_accuracy,
+            "weighted_accuracy": e.weighted_accuracy,
+            "mean_weight": e.mean_weight,
+            "ece": e.ece,
+        }
+        assert {key: got[key] for key in want} == want
+        assert [(r["label"], r["count"], r["retained"]) for r in got["retention"]] == [
+            (r.label, r.count, r.retained) for _, r in sorted(e.retention.items())
+        ]
 
 
-def test_compare_without_a_source_is_a_covar_error(capsys):
-    for argv in (("compare",), ("compare", "--n", "10"), ("compare", "--k", "3")):
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and "--input" in err and "--n" in err
-
-
-def test_compare_usage_errors(capsys, matrix_csv):
-    code, _, err = run(capsys, "compare", "--input", str(matrix_csv))
-    assert code == 2 and "labels" in err
-    code, _, err = run(capsys, "compare")
-    assert code == 2
-    code, _, err = run(capsys, "compare", "--n", "10")  # missing --k
-    assert code == 2
+def test_compare_usage_errors(capsys, matrix_csv, labels_file):
+    cases = {
+        ("--input", str(matrix_csv)): "required: --labels",
+        ("--labels", str(labels_file)): "required: --input",
+        (): "required: --input, --labels",
+        ("--n", "50", "--k", "3"): "required: --input, --labels",
+    }
+    for argv, message in cases.items():
+        code, out, err = run(capsys, "compare", *argv)
+        assert (code, out) == (2, "") and message in err
 
 
 def test_ece_report_matches_library(capsys, matrix_csv, labels_file):
@@ -316,6 +349,27 @@ def test_missing_and_malformed_inputs(capsys, tmp_path):
     assert (code, out) == (2, "") and err.startswith("error: ") and "missing" in err
 
 
+def test_failed_simulate_leaves_no_file_it_created(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ("simulate", "--n", "5", "--k", "3", "--out", "m.bin", "--labels-out", "missing/y.txt")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and "missing/y.txt" in err
+    assert not (tmp_path / "m.bin").exists()
+    # a file that was there before the run is not removed
+    (tmp_path / "m.bin").write_bytes(b"kept")
+    assert run(capsys, *argv)[0] == 2 and (tmp_path / "m.bin").exists()
+
+
+@pytest.mark.parametrize("out, labels_out", [("same.csv", "same.csv"), ("d/../x.bin", "x.bin")])
+def test_simulate_outputs_naming_one_file_exit_2(capsys, tmp_path, monkeypatch, out, labels_out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    argv = ("simulate", "--n", "5", "--k", "3", "--out", out, "--labels-out", labels_out)
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "") and "--out" in err and "--labels-out" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["d"] and not any((tmp_path / "d").iterdir())
+
+
 def test_argparse_level_exits(capsys):
     assert run(capsys, )[0] == 2  # no subcommand
     assert run(capsys, "frobnicate")[0] == 2
@@ -346,7 +400,7 @@ def test_binary_pipeline(capsys, tmp_path):
     assert parse_report(out)["input"]["n_samples"] == 30
 
 
-@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("command", ["simulate"])
 def test_fewer_than_two_classes_exit_2(capsys, command):
     code, out, err = run(capsys, command, "--n", "10", "--k", "0")
     assert (code, out) == (2, "") and "at least 2 classes" in err
@@ -381,17 +435,16 @@ def test_out_of_memory_requests_exit_2(capsys, matrix_csv, labels_file, argv):
     "argv, named",
     [
         (("select", "--lambda", "nan"), "lambda must be finite, got nan"),
-        (("compare", "--lambda", "inf", "--n", "50", "--k", "3"), "lambda must be finite, got inf"),
+        (("compare", "--lambda", "inf"), "lambda must be finite, got inf"),
         (("simulate", "--n", "5", "--k", "3", "--temp", "inf"), "overconfidence_temp must be finite, got inf"),
         (("simulate", "--n", "5", "--k", "3", "--priors", "nan,0.5,0.5"), "(nan, 0.5, 0.5)"),
         (("simulate", "--n", "5", "--k", "3", "--seed", "-1"), "seed must be a non-negative integer, got -1"),
-        (("compare", "--n", "50", "--k", "3", "--seed", "-7"), "seed must be a non-negative integer, got -7"),
     ],
 )
-def test_non_finite_config_values_are_named(capsys, matrix_csv, argv, named):
-    if argv[0] == "select":
-        argv = (*argv, "--input", str(matrix_csv))
-    code, out, err = run(capsys, *argv)
+def test_non_finite_config_values_are_named(capsys, matrix_csv, labels_file, argv, named):
+    files = ("--input", str(matrix_csv), "--labels", str(labels_file))
+    extra = {"select": files[:2], "compare": files}
+    code, out, err = run(capsys, *argv, *extra.get(argv[0], ()))
     assert code == 2 and out == ""
     assert named in err
 
