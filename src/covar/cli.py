@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -23,14 +24,16 @@ from .decomposition import EpsilonPolicy, decompose_batch, g_coefficient
 from .decomposition import decompose_sample  # noqa: F401  (perfbench/tracing.py wraps it by name)
 from .errors import CovarError
 from .io import (
+    Columns,
     format_float,
     load_labels,
     load_matrix,
     matrix_digest,
     save_labels,
     save_matrix,
-    serialize_report,
+    write_report,
 )
+from .io import serialize_report  # noqa: F401  (perfbench/tracing.py wraps it by name)
 from .pcos import DEFAULT_LAMBDA, pcos
 from .simulator import CovarPolicy, SyntheticConfig, evaluate_policies, generate
 from .stats import ProbabilityBatch, compute_stats  # noqa: F401  (perfbench wraps compute_stats)
@@ -59,12 +62,6 @@ def _report(kind: str, **sections) -> dict:
     doc = {"report": kind, "format_version": _REPORT_VERSION, "tool": f"covar {__version__}"}
     doc.update(sections)
     return doc
-
-
-def _rows(**columns) -> list[dict]:
-    """One report entry per row, with one key per column in column order."""
-    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
-    return [dict(zip(columns, row)) for row in zip(*values)]
 
 
 def _retention_list(retention: dict) -> list:
@@ -100,22 +97,25 @@ def _cmd_decompose(args) -> dict:
         eps_echo = value
     agg = decompose_batch(batch, policy, paper_literal=args.paper_literal)
     per = agg.samples
-    samples = _rows(
-        index=range(len(per)),
-        max_class=batch.max_class,
-        max_conf=batch.max_conf,
-        rcv=batch.rcv,
-        rho=batch.rho,
-        degenerate=batch.degenerate,
-        epsilon=per.epsilon,
-        g_coeff=per.g_coeff,
-        exact_ce=per.exact_ce,
-        approx_ce=per.approx_ce,
-        middle_term=per.middle_term,
-        f_term=per.f_term,
-        remainder_bound=[_fin(b) for b in per.remainder_bound.tolist()],
-        remainder_actual=per.remainder_actual,
-        assumption_ok=per.assumption_ok,
+    samples = Columns(
+        {
+            "index": range(len(per)),
+            "max_class": batch.max_class,
+            "max_conf": batch.max_conf,
+            "rcv": batch.rcv,
+            "rho": batch.rho,
+            "degenerate": batch.degenerate,
+            "epsilon": per.epsilon,
+            "g_coeff": per.g_coeff,
+            "exact_ce": per.exact_ce,
+            "approx_ce": per.approx_ce,
+            "middle_term": per.middle_term,
+            "f_term": per.f_term,
+            "remainder_bound": per.remainder_bound,
+            "remainder_actual": per.remainder_actual,
+            "assumption_ok": per.assumption_ok,
+        },
+        nullable=("remainder_bound",),
     )
     return _report(
         "decompose",
@@ -160,15 +160,17 @@ def _partition_section(result, lam: float, kind: str) -> dict:
 def _cmd_select(args) -> dict:
     batch = load_matrix(args.input)
     result = pcos(batch, args.embedding, args.lam, alg1_exponent=args.alg1_exponent)
-    samples = _rows(
-        index=range(len(batch)),
-        max_class=batch.max_class,
-        max_conf=batch.max_conf,
-        rcv=batch.rcv,
-        g_coeff=g_coefficient(batch.safe_conf, batch.n_classes, EpsilonPolicy.adaptive()),
-        weight=result.weights,
-        cluster=result.assignment,
-        preserved=result.preserved_mask,
+    samples = Columns(
+        {
+            "index": range(len(batch)),
+            "max_class": batch.max_class,
+            "max_conf": batch.max_conf,
+            "rcv": batch.rcv,
+            "g_coeff": g_coefficient(batch.safe_conf, batch.n_classes, EpsilonPolicy.adaptive()),
+            "weight": result.weights,
+            "cluster": result.assignment,
+            "preserved": result.preserved_mask,
+        }
     )
     return _report(
         "select",
@@ -209,16 +211,29 @@ def _labelled_input(args) -> tuple[ProbabilityBatch, np.ndarray]:
 
 
 def _save_outputs(*writes) -> None:
-    """Run each (save, data, path) whose path is set; a failure removes the
-    files this run created, so a failed run leaves none behind."""
-    writes = [(save, data, Path(path)) for save, data, path in writes if path]
-    created = [path for _, _, path in writes if not path.exists()]
+    """Run each (save, data, path) whose path is set.  Each output is written
+    to a new file beside it and renamed over it only once every write has
+    succeeded, so a failed run leaves old files as they were and no new one."""
+    staged: list[tuple[Path, Path]] = []
+    final = None
     try:
         for save, data, path in writes:
-            save(data, path)
-    except BaseException:
-        for path in created:
-            path.unlink(missing_ok=True)
+            if not path:
+                continue
+            final = Path(path)
+            # the same suffix, since it selects the matrix format
+            tmp = final.with_name(f".{final.name}.{os.getpid()}.tmp{final.suffix}")
+            open(tmp, "x").close()
+            staged.append((tmp, final))
+            save(data, tmp)
+        for tmp, final in staged:
+            os.replace(tmp, final)
+    except BaseException as exc:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # name the output, not the file written in its place
+            raise OSError(exc.errno, exc.strerror, str(final)) from exc
         raise
 
 
@@ -229,13 +244,15 @@ def _cmd_simulate(args) -> dict:
     batch, labels = generate(config)
     _save_outputs((save_matrix, batch, args.out), (save_labels, labels, args.labels_out))
     correct = batch.max_class == labels
-    samples = _rows(
-        index=range(len(batch)),
-        true_label=labels,
-        max_class=batch.max_class,
-        correct=correct,
-        max_conf=batch.max_conf,
-        rcv=batch.rcv,
+    samples = Columns(
+        {
+            "index": range(len(batch)),
+            "true_label": labels,
+            "max_class": batch.max_class,
+            "correct": correct,
+            "max_conf": batch.max_conf,
+            "rcv": batch.rcv,
+        }
     )
     return _report(
         "simulate",
@@ -279,12 +296,15 @@ def _cmd_compare(args) -> dict:
 def _cmd_ece(args) -> dict:
     batch, labels = _labelled_input(args)
     report = compute_ece(batch.max_conf, batch.max_class == labels, n_bins=args.bins)
-    bins = _rows(
-        lower=report.bin_edges[:-1],
-        upper=report.bin_edges[1:],
-        count=report.bin_count,
-        confidence=[_fin(x) for x in report.bin_confidence],
-        accuracy=[_fin(x) for x in report.bin_accuracy],
+    bins = Columns(
+        {
+            "lower": report.bin_edges[:-1],
+            "upper": report.bin_edges[1:],
+            "count": report.bin_count,
+            "confidence": report.bin_confidence,
+            "accuracy": report.bin_accuracy,
+        },
+        nullable=("confidence", "accuracy"),
     )
     return _report(
         "ece",
@@ -394,7 +414,10 @@ def run_cli(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         out = args.func(args)
-        sys.stdout.write(serialize_report(out) if isinstance(out, dict) else out)
+        if isinstance(out, dict):
+            write_report(out, sys.stdout)
+        else:
+            sys.stdout.write(out)
     except SystemExit as exc:  # argparse already printed usage or help
         return int(exc.code or 0)
     except (CovarError, OSError, MemoryError) as exc:

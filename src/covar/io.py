@@ -11,17 +11,25 @@ name, in any case, is CSV and any other name is binary.
 Reports are compact JSON (no whitespace, keys in insertion order) from
 the standard library encoder, which writes each float as the shortest
 decimal that parses back to the same float64.  So serialize -> parse is
-value-lossless and parse -> serialize is byte-identical.
+value-lossless and parse -> serialize is byte-identical.  A per-sample
+section is held as :class:`Columns` and written as a list of one object
+per row, a few thousand rows at a time, in the same text the encoder
+would give a list of per-row dicts.
+
+Text matrices and labels are parsed by one ``np.loadtxt`` call.  Input it
+rejects is read again line by line, which accepts exactly what Python's
+``float()`` and ``int()`` accept and names the file line of an error.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import struct
-from array import array
+import warnings
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -37,6 +45,8 @@ __all__ = [
     "load_labels",
     "save_labels",
     "matrix_digest",
+    "Columns",
+    "write_report",
     "serialize_report",
     "parse_report",
 ]
@@ -44,6 +54,8 @@ __all__ = [
 MAGIC = b"COVR"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sBII")
+# Rows per piece of text when writing a CSV matrix or a report section.
+_CHUNK_ROWS = 4096
 
 
 def format_float(x: float) -> str:
@@ -70,9 +82,8 @@ def _lines(path: Path) -> Iterator[tuple[int, str]]:
             yield lineno, line.strip()
 
 
-def _read_csv(path: Path) -> tuple[np.ndarray, array]:
-    """The values of a CSV matrix and the file line of each of its rows."""
-    lines = _lines(path)
+def _csv_width(path: Path, lines: Iterator[tuple[int, str]]) -> int:
+    """Check the header line ``c0,...,c{K-1}`` of a CSV matrix; returns K."""
     _, header = next(lines, (1, ""))
     if not header:
         raise ParseError(f"{path}: empty file")
@@ -82,9 +93,39 @@ def _read_csv(path: Path) -> tuple[np.ndarray, array]:
         raise ParseError(
             f"{path}: header {header!r} does not match c0,...,c{len(cols) - 1}"
         )
-    k = len(cols)
+    return len(cols)
+
+
+def _loadtxt(path: Path, dtype, skiprows: int) -> np.ndarray | None:
+    """The comma-separated body of a text file as a 2-d array, or None
+    where ``np.loadtxt`` rejects it or warns."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(
+                path, dtype=dtype, delimiter=",", skiprows=skiprows, ndmin=2,
+                comments=None, encoding="utf-8",
+            )
+    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+        return None
+
+
+def _read_csv(path: Path) -> np.ndarray:
+    """The values of a CSV matrix."""
+    lines = _lines(path)
+    k = _csv_width(path, lines)
+    lines.close()
+    values = _loadtxt(path, np.float64, skiprows=1)
+    if values is None or values.shape[1] != k or not len(values):
+        return _read_csv_lines(path)
+    return values
+
+
+def _read_csv_lines(path: Path) -> np.ndarray:
+    """The values of a CSV matrix, read line by line; an error names its line."""
+    lines = _lines(path)
+    k = _csv_width(path, lines)
     rows = []
-    row_lines = array("q")
     for lineno, line in lines:
         if not line:
             continue
@@ -95,14 +136,19 @@ def _read_csv(path: Path) -> tuple[np.ndarray, array]:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        row_lines.append(lineno)
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return np.array(rows, dtype=np.float64), row_lines
+    return np.array(rows, dtype=np.float64)
 
 
-def _read_binary(path: Path) -> tuple[np.ndarray, None]:
-    """The values of a binary matrix; its rows have no file lines."""
+def _csv_row_line(path: Path, row: int) -> int:
+    """The file line of data row ``row`` of a CSV matrix that parsed."""
+    data_lines = (lineno for lineno, line in _lines(path) if line)
+    return next(itertools.islice(data_lines, row + 1, None))  # the header is line 1
+
+
+def _read_binary(path: Path) -> np.ndarray:
+    """The values of a binary matrix."""
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
         raise ParseError(f"{path}: truncated header (offset 0)")
@@ -116,7 +162,7 @@ def _read_binary(path: Path) -> tuple[np.ndarray, None]:
         raise ParseError(
             f"{path}: file is {len(blob)} bytes, expected {expected} for N={n}, K={k}"
         )
-    return np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).reshape(n, k), None
+    return np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).reshape(n, k)
 
 
 def _is_csv(path: Path) -> bool:
@@ -137,24 +183,25 @@ def load_matrix(path: str | Path) -> ProbabilityBatch:
     of its row index; parse errors already name the file.
     """
     p = Path(path)
-    read = _read_csv if _is_csv(p) else _read_binary
+    csv = _is_csv(p)
     # Returning frees the reader's temporaries before the statistics pass.
-    values, row_lines = read(p)
+    values = _read_csv(p) if csv else _read_binary(p)
     try:
         return ProbabilityBatch.from_array(values)
     except ValidationError as exc:
-        if row_lines is not None and exc.row is not None:
-            raise ValidationError(f"{p}:{row_lines[exc.row]}: {exc.reason}") from exc
+        if csv and exc.row is not None:
+            raise ValidationError(f"{p}:{_csv_row_line(p, exc.row)}: {exc.reason}") from exc
         raise ValidationError(f"{p}: {exc}") from exc
 
 
 def save_matrix(batch: ProbabilityBatch, path: str | Path) -> None:
     p = Path(path)
     if _is_csv(p):
-        lines = [",".join(f"c{i}" for i in range(batch.n_classes))]
-        for row in batch.values:
-            lines.append(",".join(format_float(x) for x in row))
-        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open(p, "w", encoding="utf-8") as fh:
+            fh.write(",".join(f"c{i}" for i in range(batch.n_classes)) + "\n")
+            for start in range(0, batch.n_samples, _CHUNK_ROWS):
+                rows = batch.values[start : start + _CHUNK_ROWS].tolist()
+                fh.write("".join(",".join(map(format_float, row)) + "\n" for row in rows))
     else:
         p.write_bytes(b"".join(_encoding(batch)))
 
@@ -174,6 +221,24 @@ def matrix_digest(batch: ProbabilityBatch) -> str:
 def load_labels(path: str | Path, n_classes: int) -> np.ndarray:
     """One integer label in [0, n_classes) per line; an optional leading
     'label' header."""
+    p = Path(path)
+    lines = _lines(p)
+    _, first = next(lines, (1, ""))
+    lines.close()
+    labels = _loadtxt(p, np.int64, skiprows=int(first.lower() == "label"))
+    if (
+        labels is None
+        or labels.shape[1] != 1
+        or not len(labels)
+        or labels.min() < 0
+        or labels.max() >= n_classes
+    ):
+        return _read_labels_lines(path, n_classes)
+    return labels[:, 0]
+
+
+def _read_labels_lines(path: str | Path, n_classes: int) -> np.ndarray:
+    """:func:`load_labels` line by line; an error names its line."""
     out = []
     for lineno, text in _lines(Path(path)):
         if not text or (lineno == 1 and text.lower() == "label"):
@@ -199,10 +264,110 @@ def save_labels(labels: np.ndarray, path: str | Path) -> None:
 # reports
 
 
-def _numpy_scalar(obj: Any):
+class Columns:
+    """A report section of one JSON object per row, held as named columns.
+
+    Each column is a 1-d sequence of bools, integers or floats, all of one
+    length, and a row's object has one key per column in column order.
+    Floats must be finite, except in the columns named in ``nullable``,
+    whose non-finite values are written as null.  The checks run here, so
+    a report is never left half-written by a bad value.
+    """
+
+    def __init__(self, columns: dict[str, Any], nullable: Iterable[str] = ()) -> None:
+        self.nullable = frozenset(nullable)
+        self.columns: dict[str, np.ndarray] = {}
+        for name, values in columns.items():
+            if not isinstance(name, str):
+                raise ValidationError(f"report keys must be strings, got {name!r}")
+            arr = np.asarray(values)
+            if arr.ndim != 1 or arr.dtype.kind not in "biuf":
+                raise ValidationError(
+                    f"report column {name!r} must be 1-d bools, integers or floats, "
+                    f"got {arr.dtype} of shape {arr.shape}"
+                )
+            if arr.dtype.kind == "f" and name not in self.nullable:
+                bad = np.flatnonzero(~np.isfinite(arr))
+                if bad.size:
+                    raise ValidationError(
+                        f"report column {name!r} holds {float(arr[bad[0]])} at row {bad[0]}"
+                    )
+            self.columns[name] = arr
+        lengths = {len(arr) for arr in self.columns.values()}
+        if len(lengths) != 1:
+            raise ValidationError(f"report columns need one common length, got {sorted(lengths)}")
+        (self.n_rows,) = lengths
+
+    def _chunks(self) -> Iterator[str]:
+        """The section's JSON text, a few thousand rows at a time."""
+        keys = (json.dumps(name).replace("%", "%%") for name in self.columns)
+        row = "{" + ",".join(f"{key}:%s" for key in keys) + "}"
+        yield "["
+        for start in range(0, self.n_rows, _CHUNK_ROWS):
+            texts = [
+                _json_texts(arr[start : start + _CHUNK_ROWS], name in self.nullable)
+                for name, arr in self.columns.items()
+            ]
+            yield ("," if start else "") + ",".join(map(row.__mod__, zip(*texts)))
+        yield "]"
+
+
+def _json_texts(values: np.ndarray, nullable: bool) -> list[str]:
+    """Each value as the encoder writes it; non-finite ones as null if nullable."""
+    if values.dtype.kind == "b":
+        return list(map(("false", "true").__getitem__, values.tolist()))
+    texts = list(map(repr, values.tolist()))  # int and float repr are their JSON text
+    if nullable:
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            texts[i] = "null"
+    return texts
+
+
+class _Split(Exception):
+    """The encoder reached a Columns section."""
+
+
+def _default(obj: Any):
+    if isinstance(obj, Columns):
+        raise _Split
     if isinstance(obj, np.generic):
         return obj.item()
     raise ValidationError(f"unsupported report value of type {type(obj).__name__}")
+
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False, default=_default)
+
+
+def _pieces(obj: Any, out: list, open_ids: set) -> None:
+    """Append the JSON text of obj to out, leaving each Columns section in
+    place; the standard encoder writes every part that holds none."""
+    try:
+        out.append(_ENCODER.encode(obj))
+        return
+    except _Split:
+        pass
+    except (TypeError, ValueError) as exc:  # TypeError: a key of unsupported type
+        raise ValidationError(str(exc)) from None
+    if isinstance(obj, Columns):
+        out.append(obj)
+        return
+    if id(obj) in open_ids:
+        raise ValidationError("Circular reference detected")
+    open_ids.add(id(obj))
+    if isinstance(obj, dict):
+        out.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            out.append(("," if i else "") + _ENCODER.encode(key) + ":")
+            _pieces(value, out, open_ids)
+        out.append("}")
+    else:  # a list or tuple: the only other values the encoder looks inside
+        out.append("[")
+        for i, value in enumerate(obj):
+            if i:
+                out.append(",")
+            _pieces(value, out, open_ids)
+        out.append("]")
+    open_ids.remove(id(obj))
 
 
 def _check_keys(obj: Any) -> None:
@@ -220,20 +385,36 @@ def _check_keys(obj: Any) -> None:
             stack.extend(v for v in obj if isinstance(v, (dict, list, tuple)))
 
 
+def _report_chunks(doc: dict) -> Iterator[str]:
+    """Check the whole report, then return its text as an iterator of pieces."""
+    pieces: list = []
+    _pieces(doc, pieces, set())
+    _check_keys(doc)  # after the encoder has ruled out reference cycles
+    pieces.append("\n")
+    return itertools.chain.from_iterable(
+        p._chunks() if isinstance(p, Columns) else (p,) for p in pieces
+    )
+
+
+def write_report(doc: dict, stream: TextIO) -> None:
+    """Write :func:`serialize_report`'s text to a text stream, a few
+    thousand rows of each :class:`Columns` section at a time.
+
+    Every check runs before the first write, so a report that fails one
+    writes nothing.
+    """
+    for chunk in _report_chunks(doc):
+        stream.write(chunk)
+
+
 def serialize_report(doc: dict) -> str:
     """Deterministic compact JSON text with insertion-ordered keys.
 
     Non-finite floats, non-string keys and values JSON cannot hold raise
-    :class:`ValidationError`; numpy scalars are written as Python ones.
+    :class:`ValidationError`; numpy scalars are written as Python ones,
+    and a :class:`Columns` section as a list of one object per row.
     """
-    try:
-        text = json.dumps(
-            doc, separators=(",", ":"), allow_nan=False, default=_numpy_scalar
-        )
-    except (TypeError, ValueError) as exc:  # TypeError: a key of unsupported type
-        raise ValidationError(str(exc)) from None
-    _check_keys(doc)  # after the encoder has ruled out reference cycles
-    return text + "\n"
+    return "".join(_report_chunks(doc))
 
 
 def parse_report(text: str) -> dict:

@@ -10,7 +10,10 @@ hand:
   log p_k around mu with its Lagrange remainder bound;
 * :func:`trace_objective`, :func:`enumerate_bipartitions` and
   :func:`brute_force_partition`: the grouping objective of a bipartition
-  and its exhaustive maximizer (N <= 20).
+  and its exhaustive maximizer (N <= 20);
+* :func:`report_rows`: a per-sample report section as one dict per row,
+  the document a streamed :class:`covar.io.Columns` section must encode
+  to.
 """
 from __future__ import annotations
 
@@ -189,3 +192,20 @@ def brute_force_partition(phi) -> np.ndarray:
     obj = (sums0 * sums0).sum(axis=1) / n0 + (sums1 * sums1).sum(axis=1) / n1
     best = int(np.argmax(obj))
     return parts[best].astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# report sections
+
+
+def report_rows(columns: dict, nullable=()) -> list[dict]:
+    """One dict per row with one key per column, in column order; the
+    non-finite values of a ``nullable`` column become None.  Takes the
+    arguments of :class:`covar.io.Columns`."""
+    values = []
+    for name, column in columns.items():
+        column = column.tolist() if isinstance(column, np.ndarray) else list(column)
+        if name in nullable:
+            column = [x if math.isfinite(x) else None for x in map(float, column)]
+        values.append(column)
+    return [dict(zip(columns, row)) for row in zip(*values)]

@@ -1,6 +1,8 @@
 """End-to-end CLI behaviour: reports, exit codes, determinism."""
 from __future__ import annotations
 
+import dataclasses
+import io
 import itertools
 import math
 import os
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 import covar
+from covar import cli
 from covar.baseline import ThresholdPolicy, ece as compute_ece
 from covar.cli import run_cli
 from covar.decomposition import EpsilonPolicy, decompose_sample
@@ -21,6 +24,7 @@ from covar.io import load_labels, load_matrix, matrix_digest, parse_report, save
 from covar.pcos import DEFAULT_LAMBDA
 from covar.simulator import CovarPolicy, SyntheticConfig, evaluate_policies, generate
 from covar.stats import ProbabilityBatch, compute_stats
+from oracles import report_rows
 
 
 def run(capsys, *argv):
@@ -353,11 +357,95 @@ def test_failed_simulate_leaves_no_file_it_created(capsys, tmp_path, monkeypatch
     monkeypatch.chdir(tmp_path)
     argv = ("simulate", "--n", "5", "--k", "3", "--out", "m.bin", "--labels-out", "missing/y.txt")
     code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "") and "missing/y.txt" in err
+    assert (code, out) == (2, "") and "error: [Errno 2] No such file or directory: 'missing/y.txt'" in err
     assert not (tmp_path / "m.bin").exists()
-    # a file that was there before the run is not removed
+    # a file that was there before the run keeps its bytes, and no new file is left
     (tmp_path / "m.bin").write_bytes(b"kept")
-    assert run(capsys, *argv)[0] == 2 and (tmp_path / "m.bin").exists()
+    assert run(capsys, *argv)[0] == 2 and (tmp_path / "m.bin").read_bytes() == b"kept"
+    assert sorted(os.listdir(tmp_path)) == ["m.bin"]
+    # a run that succeeds replaces it
+    assert run(capsys, *argv[:-1], "y.txt")[0] == 0
+    assert sorted(os.listdir(tmp_path)) == ["m.bin", "y.txt"]
+    assert load_matrix(tmp_path / "m.bin").values.shape == (5, 3)
+
+
+CHUNK = covar.io._CHUNK_ROWS
+STREAM_SIZES = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
+
+
+@pytest.fixture(scope="module")
+def sized_matrices(tmp_path_factory):
+    """A bimodal matrix file per size; its last row has an infinite
+    remainder bound (rho >= 1)."""
+    sharp = np.array([5.9e-04, 2.1e-28, 4.5e-18, 3.5e-02, 2.6e-14, 0.0])
+    sharp[-1] = 1.0 - sharp.sum()
+    root = tmp_path_factory.mktemp("sized")
+    config = SyntheticConfig.uniform_priors(
+        2 * CHUNK + 1, 6, base_accuracy=0.75, overconfidence_temp=0.25, residual_mode="bimodal", seed=8
+    )
+    values = generate(config)[0].values
+    paths = {}
+    for n in STREAM_SIZES:
+        paths[n] = root / f"m{n}.bin"
+        save_matrix(ProbabilityBatch.from_array(np.vstack([values[: n - 1], sharp])), paths[n])
+    return paths
+
+
+@pytest.mark.parametrize("n", STREAM_SIZES)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose",),
+        ("decompose", "--epsilon", "0.01"),
+        ("decompose", "--paper-literal"),
+        ("select",),
+        ("simulate", "--k", "6", "--temp", "0.25", "--residual", "bimodal", "--seed", "4"),
+        ("ece",),
+    ],
+)
+def test_streamed_report_equals_per_row_dict_report(
+    capsys, monkeypatch, sized_matrices, matrix_csv, labels_file, argv, n
+):
+    # per-sample sections cross chunk boundaries at these sizes; ece's
+    # section is its bins
+    extra = {
+        "simulate": ("--n", str(n)),
+        "ece": ("--input", str(matrix_csv), "--labels", str(labels_file), "--bins", str(n)),
+    }
+    argv = (*argv, *extra.get(argv[0], ("--input", str(sized_matrices[n]))))
+    streamed = run(capsys, *argv)
+    monkeypatch.setattr(cli, "Columns", report_rows)
+    same = run(capsys, *argv) == streamed  # not asserted inline: a diff of MBs of text is slow
+    assert same and streamed[0] == (2 if argv[0] == "select" and n == 1 else 0)
+
+
+def test_report_reaches_stdout_a_chunk_at_a_time(monkeypatch, sized_matrices):
+    sizes = []
+
+    class Stdout(io.StringIO):
+        def write(self, text):
+            sizes.append(len(text))
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert run_cli(["decompose", "--input", str(sized_matrices[2 * CHUNK + 1])]) == 0
+    assert max(sizes) < sum(sizes) / 2  # the samples went out in three chunks
+
+
+def test_non_finite_value_in_a_finite_column_exits_2_with_empty_stdout(
+    capsys, monkeypatch, matrix_csv
+):
+    real = cli.decompose_batch
+
+    def with_nan(*args, **kwargs):
+        agg = real(*args, **kwargs)
+        exact_ce = agg.samples.exact_ce.copy()
+        exact_ce[3] = np.nan
+        return dataclasses.replace(agg, samples=dataclasses.replace(agg.samples, exact_ce=exact_ce))
+
+    monkeypatch.setattr(cli, "decompose_batch", with_nan)
+    code, out, err = run(capsys, "decompose", "--input", str(matrix_csv))
+    assert (code, out) == (2, "") and "report column 'exact_ce' holds nan at row 3" in err
 
 
 @pytest.mark.parametrize("out, labels_out", [("same.csv", "same.csv"), ("d/../x.bin", "x.bin")])

@@ -1,6 +1,7 @@
 """Matrix files (CSV + binary container), labels, and JSON reports."""
 from __future__ import annotations
 
+import io as stdio
 import math
 import struct
 
@@ -10,10 +11,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import simplex_rows
+from covar import io
 from covar.errors import ParseError, ValidationError
 from covar.io import (
     FORMAT_VERSION,
     MAGIC,
+    Columns,
     format_float,
     load_labels,
     load_matrix,
@@ -22,8 +25,10 @@ from covar.io import (
     parse_report,
     save_matrix,
     serialize_report,
+    write_report,
 )
 from covar.stats import ProbabilityBatch
+from oracles import report_rows
 
 ROW3 = np.array([[0.7, 0.2, 0.1]])
 
@@ -101,6 +106,104 @@ def test_non_utf8_text_names_file_and_line(tmp_path):
     y.write_bytes(b"0\n1\n\xff\n")
     with pytest.raises(ParseError, match=r"y\.txt:3: not UTF-8"):
         load_labels(y, 2)
+
+
+def _parsed(read, *args):
+    """What a reader makes of a file: its array, or its ParseError message."""
+    try:
+        return read(*args)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _assert_same(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _assert_csv_readers_agree(path, k):
+    """np.loadtxt gives the line reader's values wherever it accepts a
+    file; the reader falls back to the line reader everywhere else."""
+    slow = _parsed(io._read_csv_lines, path)
+    fast = io._loadtxt(path, np.float64, skiprows=1)
+    if fast is not None and fast.shape[1] == k and len(fast):
+        _assert_same(fast, slow)
+    _assert_same(_parsed(io._read_csv, path), slow)
+
+
+CSV_BODIES = {
+    "underscore": b"1_0e-1,0.9\n",
+    "full-width digits": "\uff10.5,0.5\n".encode(),
+    "padding": b" 0.5 ,\t0.5\t\n",
+    "crlf": b"0.5,0.5\r\n0.25,0.75\r\n",
+    "plus exponent": b"+5e-1,0.5\n",
+    "nan and inf": b"nan,inf\n-Infinity,0.5\n",
+    "trailing comma": b"0.5,0.5,\n",
+    "hash": b"#0.5,0.5\n",
+    "quoted": b'"0.5",0.5\n',
+    "header only": b"",
+    "blank lines": b"\n0.5,0.5\n\n\n0.25,0.75\n\n",
+    "whitespace line": b"0.5,0.5\n  \n0.25,0.75\n",
+    "ragged": b"0.5,0.5\n0.5\n",
+    "k mismatch": b"0.5,0.3,0.2\n",
+    "not utf-8": b"0.5,0.5\n0.25,0.7\xe95\n",
+    "nul": b"0.5,0.5\x00\n",
+}
+
+
+@pytest.mark.parametrize("body", CSV_BODIES.values(), ids=CSV_BODIES.keys())
+def test_csv_fast_reader_matches_line_reader(tmp_path, body):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"c0,c1\n" + body)
+    _assert_csv_readers_agree(path, 2)
+
+
+@given(
+    st.lists(
+        st.sampled_from(
+            ["0.5", "1", "-2e-3", "nan", "inf", "1_0", "+", ".", "e", " ", "\t", ",", ",",
+             "\n", "\n", "\r\n", "#", '"', "\x00", "\uff11"]
+        ),
+        max_size=30,
+    )
+)
+def test_csv_fast_reader_matches_line_reader_on_token_soup(tmp_path_factory, tokens):
+    path = tmp_path_factory.mktemp("soup") / "m.csv"
+    path.write_text("c0,c1\n" + "".join(tokens), encoding="utf-8")
+    _assert_csv_readers_agree(path, 2)
+
+
+def test_csv_validation_error_names_the_line_after_blank_lines(tmp_path):
+    # the fast reader drops blank lines; the row-to-line map is rebuilt
+    path = tmp_path / "m.csv"
+    path.write_text("c0,c1\n0.5,0.5\n\n\n0.25,0.75\n\n0.9,0.9\n")
+    with pytest.raises(ValidationError, match=r"m\.csv:7: sum 1.8 deviates"):
+        load_matrix(path)
+
+
+def test_clean_text_files_never_reach_the_line_readers(tmp_path, monkeypatch):
+    def line_reader(*args):
+        raise AssertionError("line reader called")
+
+    monkeypatch.setattr(io, "_read_csv_lines", line_reader)
+    monkeypatch.setattr(io, "_read_labels_lines", line_reader)
+    batch = make_batch(np.random.default_rng(2).dirichlet(np.ones(5), size=40))
+    save_matrix(batch, tmp_path / "m.csv")
+    assert load_matrix(tmp_path / "m.csv").values.tobytes() == batch.values.tobytes()
+    (tmp_path / "y.txt").write_text("label\n4\n\n0\n")
+    np.testing.assert_array_equal(load_labels(tmp_path / "y.txt", 5), [4, 0])
+
+
+def test_csv_writer_matches_whole_text(tmp_path):
+    # rows are written a chunk at a time; the file is the one-piece text
+    n = 2 * io._CHUNK_ROWS + 1
+    batch = make_batch(np.random.default_rng(3).dirichlet(np.ones(3), size=n))
+    save_matrix(batch, tmp_path / "m.csv")
+    lines = ["c0,c1,c2"] + [",".join(format_float(x) for x in row) for row in batch.values]
+    assert (tmp_path / "m.csv").read_text() == "\n".join(lines) + "\n"
 
 
 # --- binary container -------------------------------------------------------------
@@ -221,6 +324,33 @@ def test_load_labels_errors(tmp_path):
         load_labels(p, 2)
 
 
+LABEL_TEXTS = {
+    "underscore": b"3_0\n",
+    "padding": b" 3 \n",
+    "plus": b"+3\n",
+    "float": b"1.0\n",
+    "header": b"label\n3\n\n4\n",
+    "header in caps": b"LABEL\n3\n",
+    "header only": b"label\n",
+    "beyond int64": b"0\n99999999999999999999\n",
+    "out of range": b"0\n5\n",
+    "negative": b"0\n-1\n",
+    "two fields": b"1,2\n",
+    "whitespace line": b"1\n \n2\n",
+}
+
+
+@pytest.mark.parametrize("text", LABEL_TEXTS.values(), ids=LABEL_TEXTS.keys())
+def test_labels_fast_reader_matches_line_reader(tmp_path, text):
+    path = tmp_path / "y.txt"
+    path.write_bytes(text)
+    slow = _parsed(io._read_labels_lines, path, 5)
+    fast = io._loadtxt(path, np.int64, skiprows=int(text[:5].lower() == b"label"))
+    if fast is not None and fast.shape[1] == 1 and len(fast) and 0 <= fast.min() <= fast.max() < 5:
+        _assert_same(fast[:, 0], slow)
+    _assert_same(_parsed(load_labels, path, 5), slow)
+
+
 def test_load_labels_class_range(tmp_path):
     p = tmp_path / "y.txt"
     p.write_text("label\n0\n2\n")
@@ -278,6 +408,72 @@ def test_serialize_rejects_bad_values():
         serialize_report({1: "x"})
     with pytest.raises(ValidationError):
         serialize_report({"x": object()})
+
+
+def _sections(n):
+    rng = np.random.default_rng(n)
+    bound = rng.standard_normal(n)
+    bound[::3] = np.inf
+    bound[1::5] = np.nan
+    return {
+        "index": range(n),
+        "label": rng.integers(0, 7, n),
+        "x": rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+        "zero": np.full(n, -0.0),
+        "ok": rng.random(n) < 0.5,
+        "bound": bound,
+    }
+
+
+@pytest.mark.parametrize("n", [0, 1, 2 * io._CHUNK_ROWS + 1])
+def test_columns_encode_as_per_row_dicts(n):
+    columns = _sections(n)
+
+    def doc(section):
+        return {
+            "head": 1.5,
+            "samples": section(columns, nullable=("bound",)),
+            "nest": {"a": {"b": [1, 2]}, "c": section({"y": np.arange(n) / 7})},
+        }
+
+    want = serialize_report(doc(report_rows))
+    stream = stdio.StringIO()
+    write_report(doc(Columns), stream)
+    same = serialize_report(doc(Columns)) == want == stream.getvalue()  # no slow diff on failure
+    assert same
+
+
+def test_columns_reject_what_a_report_cannot_hold():
+    for bad in (np.array([0.5, np.nan]), np.array([np.inf, 0.5]), np.array([-np.inf])):
+        with pytest.raises(ValidationError, match="report column 'x' holds"):
+            Columns({"x": bad})
+    assert Columns({"x": np.array([np.nan])}, nullable=("x",)).n_rows == 1
+    cases = {
+        "must be 1-d": {"x": np.zeros((2, 2))},
+        "integers or floats": {"x": np.array(["a", "b"])},
+        "one common length": {"x": np.zeros(2), "y": np.zeros(3)},
+        "keys must be strings": {1: np.zeros(2)},
+    }
+    for message, columns in cases.items():
+        with pytest.raises(ValidationError, match=message):
+            Columns(columns)
+
+
+def test_write_report_checks_everything_before_writing():
+    section = Columns({"x": np.arange(3.0)})
+    for doc in (
+        {"samples": section, "after": math.inf},
+        {"samples": section, "after": {1: "x"}},
+        {"samples": section, "after": object()},
+    ):
+        stream = stdio.StringIO()
+        with pytest.raises(ValidationError):
+            write_report(doc, stream)
+        assert stream.getvalue() == ""
+    looped = {"samples": section}
+    looped["again"] = [looped]
+    with pytest.raises(ValidationError, match="Circular"):
+        serialize_report(looped)
 
 
 def test_parse_report_errors():
