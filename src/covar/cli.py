@@ -223,7 +223,6 @@ def _save_outputs(*writes) -> None:
             final = Path(path)
             # the same suffix, since it selects the matrix format
             tmp = final.with_name(f".{final.name}.{os.getpid()}.tmp{final.suffix}")
-            open(tmp, "x").close()
             staged.append((tmp, final))
             save(data, tmp)
         for tmp, final in staged:
