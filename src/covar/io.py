@@ -16,6 +16,13 @@ section is held as :class:`Columns` and written as a list of one object
 per row, a few thousand rows at a time, in the same text the encoder
 would give a list of per-row dicts.
 
+Text of more than one chunk (a report section or the rows of a CSV
+matrix) is formatted on every usable CPU: :func:`_ordered_map` forks a
+pool of workers that each turn a chunk's start row into its text, and
+the chunks are written in order, a few at a time.  With one usable CPU,
+without ``fork``, or in a process that runs other threads, the same
+chunk function runs in a loop in this process; the bytes are the same.
+
 Text matrices and labels are parsed by one ``np.loadtxt`` call.  Input it
 rejects is read again line by line, which accepts exactly what Python's
 ``float()`` and ``int()`` accept and names the file line of an error.
@@ -23,13 +30,19 @@ rejects is read again line by line, which accepts exactly what Python's
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import functools
 import hashlib
 import itertools
 import json
+import os
+import signal
 import struct
+import threading
 import warnings
 from pathlib import Path
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -64,6 +77,68 @@ def format_float(x: float) -> str:
     if "." not in s and "e" not in s and "n" not in s and "i" not in s:
         s += ".0"
     return s
+
+
+# ---------------------------------------------------------------------------
+# chunked text, formatted in parallel
+
+# The chunk function of a forked pool's workers, set as each one starts.
+_TASK: Callable[[int], str] | None = None
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
+def _set_task(task: Callable[[int], str]) -> None:
+    global _TASK
+    _TASK = task
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the parent, which stops the pool
+
+
+def _run_task(start: int) -> str:
+    return _TASK(start)
+
+
+def _ordered_map(task: Callable[[int], str], starts: range) -> Iterator[str]:
+    """``task(start)`` for each start, in order.
+
+    Where there are several starts and CPUs, forked workers run the
+    calls.  ``task`` reaches them through the fork, never pickled, so a
+    call ships only its start row and its text; at most two calls per
+    worker are in flight, which bounds the text held here.
+    """
+    workers = min(_usable_cpus(), len(starts))
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        yield from map(task, starts)
+        return
+    import multiprocessing
+
+    others = {child.pid for child in multiprocessing.active_children()}
+    pool = multiprocessing.get_context("fork").Pool(workers, _set_task, (task,))
+    try:
+        pids = {child.pid for child in multiprocessing.active_children()} - others
+        todo = iter(starts)
+        window = collections.deque(
+            pool.apply_async(_run_task, (start,)) for start in itertools.islice(todo, 2 * workers)
+        )
+        while window:
+            result = window.popleft()
+            while not result.ready():
+                result.wait(1.0)
+                # a pool replaces a worker that died, but never returns its chunk
+                if not pids <= {child.pid for child in multiprocessing.active_children()}:
+                    raise RuntimeError("a worker process died while formatting text")
+            text = result.get()
+            start = next(todo, None)
+            if start is not None:
+                window.append(pool.apply_async(_run_task, (start,)))
+            yield text
+    finally:
+        pool.terminate()  # also joins the workers
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +269,26 @@ def load_matrix(path: str | Path) -> ProbabilityBatch:
         raise ValidationError(f"{p}: {exc}") from exc
 
 
+def _csv_rows(values: np.ndarray, row: str, start: int) -> str:
+    """CSV lines of the chunk of rows from ``start``.  ``row`` is the
+    ``%.17g`` line template, which gives format_float's text for every
+    value but an integral one (0.0, 1.0), where it drops the ``.0``."""
+    chunk = values[start : start + _CHUNK_ROWS]
+    if np.any(chunk == np.trunc(chunk)):
+        return "".join(",".join(map(format_float, r)) + "\n" for r in chunk.tolist())
+    return "".join(map(row.__mod__, map(tuple, chunk.tolist())))
+
+
 def save_matrix(batch: ProbabilityBatch, path: str | Path) -> None:
     p = Path(path)
     if _is_csv(p):
-        with open(p, "w", encoding="utf-8") as fh:
-            fh.write(",".join(f"c{i}" for i in range(batch.n_classes)) + "\n")
-            for start in range(0, batch.n_samples, _CHUNK_ROWS):
-                rows = batch.values[start : start + _CHUNK_ROWS].tolist()
-                fh.write("".join(",".join(map(format_float, row)) + "\n" for row in rows))
+        k = batch.n_classes
+        task = functools.partial(_csv_rows, batch.values, ",".join(["%.17g"] * k) + "\n")
+        texts = _ordered_map(task, range(0, batch.n_samples, _CHUNK_ROWS))
+        with open(p, "w", encoding="utf-8") as fh, contextlib.closing(texts):
+            fh.write(",".join(f"c{i}" for i in range(k)) + "\n")
+            for text in texts:
+                fh.write(text)
     else:
         p.write_bytes(b"".join(_encoding(batch)))
 
@@ -257,7 +344,8 @@ def _read_labels_lines(path: str | Path, n_classes: int) -> np.ndarray:
 
 def save_labels(labels: np.ndarray, path: str | Path) -> None:
     """Write the format :func:`load_labels` reads: one label per line."""
-    Path(path).write_text("\n".join(str(int(y)) for y in labels) + "\n", encoding="utf-8")
+    text = "\n".join(map(str, np.asarray(labels, dtype=np.int64).tolist()))
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +390,16 @@ class Columns:
         """The section's JSON text, a few thousand rows at a time."""
         keys = (json.dumps(name).replace("%", "%%") for name in self.columns)
         row = "{" + ",".join(f"{key}:%s" for key in keys) + "}"
-        yield "["
-        for start in range(0, self.n_rows, _CHUNK_ROWS):
+
+        def chunk(start: int) -> str:
             texts = [
                 _json_texts(arr[start : start + _CHUNK_ROWS], name in self.nullable)
                 for name, arr in self.columns.items()
             ]
-            yield ("," if start else "") + ",".join(map(row.__mod__, zip(*texts)))
+            return ("," if start else "") + ",".join(map(row.__mod__, zip(*texts)))
+
+        yield "["
+        yield from _ordered_map(chunk, range(0, self.n_rows, _CHUNK_ROWS))
         yield "]"
 
 
@@ -386,14 +477,16 @@ def _check_keys(obj: Any) -> None:
 
 
 def _report_chunks(doc: dict) -> Iterator[str]:
-    """Check the whole report, then return its text as an iterator of pieces."""
+    """Check the whole report, then yield its text piece by piece."""
     pieces: list = []
     _pieces(doc, pieces, set())
     _check_keys(doc)  # after the encoder has ruled out reference cycles
     pieces.append("\n")
-    return itertools.chain.from_iterable(
-        p._chunks() if isinstance(p, Columns) else (p,) for p in pieces
-    )
+    for p in pieces:
+        if isinstance(p, Columns):
+            yield from p._chunks()
+        else:
+            yield p
 
 
 def write_report(doc: dict, stream: TextIO) -> None:
@@ -403,8 +496,9 @@ def write_report(doc: dict, stream: TextIO) -> None:
     Every check runs before the first write, so a report that fails one
     writes nothing.
     """
-    for chunk in _report_chunks(doc):
-        stream.write(chunk)
+    with contextlib.closing(_report_chunks(doc)) as chunks:
+        for chunk in chunks:
+            stream.write(chunk)
 
 
 def serialize_report(doc: dict) -> str:

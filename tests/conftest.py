@@ -5,6 +5,7 @@ import os
 
 import hypothesis
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -68,3 +69,24 @@ def confident_rows(draw, min_k: int = 3, max_k: int = 10):
 
 def batch_of(rows) -> ProbabilityBatch:
     return ProbabilityBatch.from_array(np.atleast_2d(np.asarray(rows, dtype=np.float64)))
+
+
+def use_cpus(monkeypatch, n):
+    """Make n CPUs usable to this process: 1 forces the serial path."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture()
+def pools(monkeypatch):
+    """The worker count of each pool started while the test runs."""
+    import multiprocessing.pool
+
+    started = []
+
+    class Counted(multiprocessing.pool.Pool):
+        def __init__(self, processes=None, *args, **kwargs):
+            started.append(processes)
+            super().__init__(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", Counted)
+    return started

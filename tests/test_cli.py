@@ -6,9 +6,11 @@ import io
 import itertools
 import math
 import os
+import signal
 import struct
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -24,7 +26,15 @@ from covar.io import load_labels, load_matrix, matrix_digest, parse_report, save
 from covar.pcos import DEFAULT_LAMBDA
 from covar.simulator import CovarPolicy, SyntheticConfig, evaluate_policies, generate
 from covar.stats import ProbabilityBatch, compute_stats
+from conftest import use_cpus
 from oracles import report_rows
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a child that imports the same covar as this process."""
+    path = [str(Path(covar.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def run(capsys, *argv):
@@ -284,12 +294,7 @@ def test_grid_stdout_and_frozen_corner(capsys):
 
 def test_python_dash_m_entry_point_matches_run_cli(capsys):
     argv = ["grid", "--p-steps", "2", "--v-steps", "2"]
-    # the child imports the same covar as this process
-    path = [str(Path(covar.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "covar", *argv], capture_output=True, text=True, env=env
-    )
+    proc = run_python("-m", "covar", *argv)
     code, out, _ = run(capsys, *argv)
     assert (proc.returncode, proc.stderr) == (0, "") and code == 0
     assert proc.stdout == out
@@ -430,6 +435,143 @@ def test_report_reaches_stdout_a_chunk_at_a_time(monkeypatch, sized_matrices):
     monkeypatch.setattr(sys, "stdout", Stdout())
     assert run_cli(["decompose", "--input", str(sized_matrices[2 * CHUNK + 1])]) == 0
     assert max(sizes) < sum(sizes) / 2  # the samples went out in three chunks
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose",),
+        ("decompose", "--epsilon", "0.01"),
+        ("decompose", "--paper-literal"),
+        ("select",),
+        ("simulate", "--k", "6", "--temp", "0.25", "--residual", "bimodal", "--seed", "4"),
+    ],
+)
+def test_parallel_and_serial_outputs_are_byte_identical(
+    capsys, monkeypatch, tmp_path, sized_matrices, pools, argv
+):
+    import multiprocessing
+
+    n = 2 * CHUNK + 1
+    simulate = argv[0] == "simulate"
+    out_csv = tmp_path / "m.csv"
+    if simulate:
+        argv = (*argv, "--n", str(n), "--out", str(out_csv))
+    else:
+        argv = (*argv, "--input", str(sized_matrices[n]))
+    results = []
+    for cpus in (2, 1):
+        use_cpus(monkeypatch, cpus)
+        code, out, err = run(capsys, *argv)
+        assert not multiprocessing.active_children()
+        results.append((code, err, out, out_csv.read_bytes() if simulate else None))
+    # the first run started one pool per multi-chunk text (the samples, the CSV)
+    # and the second run none
+    assert pools == [2] * (1 + simulate)
+    same = results[0] == results[1]  # not asserted inline: a diff of MBs of text is slow
+    assert same and results[0][:2] == (0, "")
+
+
+def test_a_process_running_threads_formats_serially(capsys, monkeypatch, sized_matrices, pools):
+    argv = ("decompose", "--input", str(sized_matrices[2 * CHUNK + 1]))
+    use_cpus(monkeypatch, 2)
+    parallel = run(capsys, *argv)
+    monkeypatch.setattr(threading, "active_count", lambda: 2)
+    same = run(capsys, *argv) == parallel
+    assert same and parallel[0] == 0 and pools == [2]
+
+
+def test_a_failing_chunk_fails_the_run_as_on_the_serial_path(capsys, monkeypatch, sized_matrices):
+    import multiprocessing
+
+    real = covar.io._json_texts
+
+    def failing(values, nullable):
+        if len(values) == 1:  # the last chunk of 2 * CHUNK + 1 rows
+            raise RuntimeError(f"chunk failed in process {os.getpid()}")
+        return real(values, nullable)
+
+    monkeypatch.setattr(covar.io, "_json_texts", failing)
+    argv = ("decompose", "--input", str(sized_matrices[2 * CHUNK + 1]))
+    results, pids = [], []
+    for cpus in (2, 1):
+        use_cpus(monkeypatch, cpus)
+        code, out, err = run(capsys, *argv)
+        assert not multiprocessing.active_children()
+        head, pid = err.rsplit(" ", 1)
+        results.append((code, out, head))
+        pids.append(int(pid))
+    assert results[0][::2] == (1, "internal error: RuntimeError: chunk failed in process")
+    same = results[0] == results[1]  # both wrote the chunks before the failing one
+    assert same and pids[0] != os.getpid() == pids[1]
+    # write_report raises what the worker raised
+    use_cpus(monkeypatch, 2)
+    doc = {"samples": covar.io.Columns({"x": np.zeros(2 * CHUNK + 1)})}
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        covar.io.write_report(doc, io.StringIO())
+    assert not multiprocessing.active_children()
+
+
+def test_a_worker_that_dies_fails_the_run(capsys, monkeypatch, sized_matrices):
+    import multiprocessing
+
+    real, parent = covar.io._json_texts, os.getpid()
+
+    def dying(values, nullable):
+        if len(values) == 1 and os.getpid() != parent:  # the last chunk, in a worker
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(values, nullable)
+
+    monkeypatch.setattr(covar.io, "_json_texts", dying)
+    use_cpus(monkeypatch, 2)
+    code, _, err = run(capsys, "decompose", "--input", str(sized_matrices[2 * CHUNK + 1]))
+    assert code == 1 and "a worker process died" in err
+    assert not multiprocessing.active_children()
+
+
+def test_a_closed_stdout_stops_the_workers(capsys, monkeypatch, sized_matrices, pools):
+    import multiprocessing
+
+    class Closed(io.StringIO):
+        def write(self, text):
+            if len(text) > 100_000:  # the first chunk of samples
+                raise BrokenPipeError(32, "Broken pipe")
+            return super().write(text)
+
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert run_cli(["decompose", "--input", str(sized_matrices[2 * CHUNK + 1])]) == 2
+    assert pools == [2] and not multiprocessing.active_children()
+
+
+def test_workers_do_not_repeat_buffered_stdout(capsys, monkeypatch, sized_matrices):
+    # a pipe holds the report's head in sys.stdout's buffer when the workers
+    # fork, and each worker flushes its copy of sys.stdout on exit
+    argv = ["decompose", "--input", str(sized_matrices[2 * CHUNK + 1])]
+    script = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from covar.cli import run_cli\n"
+        "sys.exit(run_cli(sys.argv[1:]))\n"
+    )
+    proc = run_python("-c", script, *argv)
+    use_cpus(monkeypatch, 1)
+    code, out, _ = run(capsys, *argv)
+    same = proc.stdout == out
+    assert same and (proc.returncode, proc.stderr) == (0, "") and code == 0
+
+
+def test_summary_commands_never_import_multiprocessing(tmp_path, matrix_csv, labels_file):
+    # compare and ece write kB reports, so they never pay for the import
+    script = (
+        "import sys\n"
+        "from covar.cli import run_cli\n"
+        "for cmd in ('ece', 'compare'):\n"
+        "    assert run_cli([cmd, '--input', sys.argv[1], '--labels', sys.argv[2]]) == 0\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+    )
+    proc = run_python("-c", script, str(matrix_csv), str(labels_file))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_non_finite_value_in_a_finite_column_exits_2_with_empty_stdout(

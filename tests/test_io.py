@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import simplex_rows
+from conftest import simplex_rows, use_cpus
 from covar import io
 from covar.errors import ParseError, ValidationError
 from covar.io import (
@@ -204,6 +204,28 @@ def test_csv_writer_matches_whole_text(tmp_path):
     save_matrix(batch, tmp_path / "m.csv")
     lines = ["c0,c1,c2"] + [",".join(format_float(x) for x in row) for row in batch.values]
     assert (tmp_path / "m.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def test_csv_writer_parallel_and_serial_bytes_match(tmp_path, monkeypatch, pools):
+    import multiprocessing
+
+    # the second chunk holds 0.0, -0.0 and 1.0, which the %.17g template would
+    # write without their ".0"; the other chunks take the template
+    n = 2 * io._CHUNK_ROWS + 1
+    values = np.random.default_rng(5).dirichlet(np.ones(3), size=n)
+    values[io._CHUNK_ROWS + 7] = [0.0, 1.0, -0.0]
+    batch = make_batch(values)
+    lines = ["c0,c1,c2"] + [",".join(map(format_float, row)) for row in batch.values]
+    want = "\n".join(lines) + "\n"
+    assert "\n0.0,1.0,-0.0\n" in want
+    texts = []
+    for cpus in (2, 1):
+        use_cpus(monkeypatch, cpus)
+        save_matrix(batch, tmp_path / "m.csv")
+        assert not multiprocessing.active_children()
+        texts.append((tmp_path / "m.csv").read_text())
+    same = texts == [want, want]  # not asserted inline: a diff of MBs of text is slow
+    assert same and pools == [2]
 
 
 # --- binary container -------------------------------------------------------------
