@@ -6,7 +6,6 @@ import io
 import itertools
 import math
 import os
-import signal
 import struct
 import subprocess
 import sys
@@ -30,11 +29,13 @@ from conftest import use_cpus
 from oracles import report_rows
 
 
-def run_python(*args) -> subprocess.CompletedProcess:
+def run_python(*args, timeout=None) -> subprocess.CompletedProcess:
     """Run ``python *args`` in a child that imports the same covar as this process."""
     path = [str(Path(covar.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+    )
 
 
 def run(capsys, *argv):
@@ -512,21 +513,27 @@ def test_a_failing_chunk_fails_the_run_as_on_the_serial_path(capsys, monkeypatch
     assert not multiprocessing.active_children()
 
 
-def test_a_worker_that_dies_fails_the_run(capsys, monkeypatch, sized_matrices):
-    import multiprocessing
-
-    real, parent = covar.io._json_texts, os.getpid()
-
-    def dying(values, nullable):
-        if len(values) == 1 and os.getpid() != parent:  # the last chunk, in a worker
-            os.kill(os.getpid(), signal.SIGKILL)
-        return real(values, nullable)
-
-    monkeypatch.setattr(covar.io, "_json_texts", dying)
-    use_cpus(monkeypatch, 2)
-    code, _, err = run(capsys, "decompose", "--input", str(sized_matrices[2 * CHUNK + 1]))
-    assert code == 1 and "a worker process died" in err
-    assert not multiprocessing.active_children()
+def test_a_worker_that_dies_fails_the_run(sized_matrices):
+    # a pool never returns the chunk of a worker that died; without a check
+    # the run would wait forever, so it runs in a child with a timeout
+    script = (
+        "import multiprocessing, os, signal, sys\n"
+        "import covar.io\n"
+        "from covar.cli import run_cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "real, parent = covar.io._json_texts, os.getpid()\n"
+        "def dying(values, nullable):\n"
+        "    if len(values) == 1 and os.getpid() != parent:  # the last chunk, in a worker\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return real(values, nullable)\n"
+        "covar.io._json_texts = dying\n"
+        "code = run_cli(sys.argv[1:])\n"
+        "assert not multiprocessing.active_children()\n"
+        "sys.exit(code)\n"
+    )
+    argv = ["decompose", "--input", str(sized_matrices[2 * CHUNK + 1])]
+    proc = run_python("-c", script, *argv, timeout=60)
+    assert proc.returncode == 1 and "a worker process died" in proc.stderr
 
 
 def test_a_closed_stdout_stops_the_workers(capsys, monkeypatch, sized_matrices, pools):
@@ -534,7 +541,7 @@ def test_a_closed_stdout_stops_the_workers(capsys, monkeypatch, sized_matrices, 
 
     class Closed(io.StringIO):
         def write(self, text):
-            if len(text) > 100_000:  # the first chunk of samples
+            if len(text) > 30_000:  # the first chunk of samples
                 raise BrokenPipeError(32, "Broken pipe")
             return super().write(text)
 
@@ -542,6 +549,11 @@ def test_a_closed_stdout_stops_the_workers(capsys, monkeypatch, sized_matrices, 
     monkeypatch.setattr(sys, "stdout", Closed())
     assert run_cli(["decompose", "--input", str(sized_matrices[2 * CHUNK + 1])]) == 2
     assert pools == [2] and not multiprocessing.active_children()
+    # also while the error, and so write_report's frame, is still held
+    doc = {"samples": covar.io.Columns({"x": np.zeros(2 * CHUNK + 1)})}
+    with pytest.raises(BrokenPipeError) as caught:
+        covar.io.write_report(doc, Closed())
+    assert pools == [2, 2] and not multiprocessing.active_children() and caught.tb
 
 
 def test_workers_do_not_repeat_buffered_stdout(capsys, monkeypatch, sized_matrices):
