@@ -20,8 +20,9 @@ Text of more than one chunk (a report section or the rows of a CSV
 matrix) is formatted on every usable CPU: :func:`_ordered_map` forks a
 pool of workers that each turn a chunk's start row into its text, and
 the chunks are written in order, a few at a time.  With one usable CPU,
-without ``fork``, or in a process that runs other threads, the same
-chunk function runs in a loop in this process; the bytes are the same.
+without ``fork``, in a process that runs other threads, or in a daemonic
+process (which may not start children), the same chunk function runs in
+a loop in this process; the bytes are the same.
 
 Text matrices and labels are parsed by one ``np.loadtxt`` call.  Input it
 rejects is read again line by line, which accepts exactly what Python's
@@ -39,6 +40,7 @@ import json
 import os
 import signal
 import struct
+import sys
 import threading
 import warnings
 from pathlib import Path
@@ -109,36 +111,39 @@ def _ordered_map(task: Callable[[int], str], starts: range) -> Iterator[str]:
     Where there are several starts and CPUs, forked workers run the
     calls.  ``task`` reaches them through the fork, never pickled, so a
     call ships only its start row and its text; at most two calls per
-    worker are in flight, which bounds the text held here.
+    worker are in flight, which bounds the text held here.  A worker
+    that dies raises ``BrokenProcessPool``.
     """
     workers = min(_usable_cpus(), len(starts))
-    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    # a daemonic process (a multiprocessing.Pool worker) may not start children
+    mp = sys.modules.get("multiprocessing")
+    if (
+        workers < 2
+        or not hasattr(os, "fork")
+        or threading.active_count() > 1
+        or (mp is not None and mp.current_process().daemon)
+    ):
         yield from map(task, starts)
         return
+    import concurrent.futures
     import multiprocessing
 
-    others = {child.pid for child in multiprocessing.active_children()}
-    pool = multiprocessing.get_context("fork").Pool(workers, _set_task, (task,))
+    pool = concurrent.futures.ProcessPoolExecutor(
+        workers, multiprocessing.get_context("fork"), _set_task, (task,)
+    )
     try:
-        pids = {child.pid for child in multiprocessing.active_children()} - others
         todo = iter(starts)
         window = collections.deque(
-            pool.apply_async(_run_task, (start,)) for start in itertools.islice(todo, 2 * workers)
+            pool.submit(_run_task, start) for start in itertools.islice(todo, 2 * workers)
         )
         while window:
-            result = window.popleft()
-            while not result.ready():
-                result.wait(1.0)
-                # a pool replaces a worker that died, but never returns its chunk
-                if not pids <= {child.pid for child in multiprocessing.active_children()}:
-                    raise RuntimeError("a worker process died while formatting text")
-            text = result.get()
+            text = window.popleft().result()
             start = next(todo, None)
             if start is not None:
-                window.append(pool.apply_async(_run_task, (start,)))
+                window.append(pool.submit(_run_task, start))
             yield text
     finally:
-        pool.terminate()  # also joins the workers
+        pool.shutdown(cancel_futures=True)  # waits for the chunks in flight, joins the workers
 
 
 # ---------------------------------------------------------------------------

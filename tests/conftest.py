@@ -78,15 +78,15 @@ def use_cpus(monkeypatch, n):
 
 @pytest.fixture()
 def pools(monkeypatch):
-    """The worker count of each pool started while the test runs."""
-    import multiprocessing.pool
+    """The worker count of each process pool started while the test runs."""
+    import concurrent.futures
 
     started = []
 
-    class Counted(multiprocessing.pool.Pool):
-        def __init__(self, processes=None, *args, **kwargs):
-            started.append(processes)
-            super().__init__(processes, *args, **kwargs)
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
 
-    monkeypatch.setattr(multiprocessing.pool, "Pool", Counted)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
     return started

@@ -109,10 +109,8 @@ def taylor_log_expand(p_k: float, mu: float, rho: float) -> tuple[float, float]:
     d = p_k - mu
     # A point exactly on the band edge is legal (rho is usually computed
     # as max|d|/mu, which lands there); allow a few ulp of slack so the
-    # float product rho*mu does not spuriously reject it.  The rounding of
-    # p_k itself is on the scale of ulp(mu), not of rho*mu, so a tiny rho
-    # needs that absolute slack too.
-    if abs(d) > rho * mu * (1.0 + 1e-12) + 4.0 * math.ulp(mu):
+    # float product rho*mu does not spuriously reject it.
+    if abs(d) > rho * mu * (1.0 + 1e-12):
         raise AssumptionViolation(
             f"p_k={p_k!r} outside the band [{(1 - rho) * mu!r}, {(1 + rho) * mu!r}]"
         )

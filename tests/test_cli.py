@@ -514,8 +514,8 @@ def test_a_failing_chunk_fails_the_run_as_on_the_serial_path(capsys, monkeypatch
 
 
 def test_a_worker_that_dies_fails_the_run(sized_matrices):
-    # a pool never returns the chunk of a worker that died; without a check
-    # the run would wait forever, so it runs in a child with a timeout
+    # the run must fail, not wait forever for the lost chunk, so it runs in
+    # a child with a timeout
     script = (
         "import multiprocessing, os, signal, sys\n"
         "import covar.io\n"
@@ -533,7 +533,7 @@ def test_a_worker_that_dies_fails_the_run(sized_matrices):
     )
     argv = ["decompose", "--input", str(sized_matrices[2 * CHUNK + 1])]
     proc = run_python("-c", script, *argv, timeout=60)
-    assert proc.returncode == 1 and "a worker process died" in proc.stderr
+    assert proc.returncode == 1 and "internal error: BrokenProcessPool:" in proc.stderr
 
 
 def test_a_closed_stdout_stops_the_workers(capsys, monkeypatch, sized_matrices, pools):

@@ -228,6 +228,23 @@ def test_csv_writer_parallel_and_serial_bytes_match(tmp_path, monkeypatch, pools
     assert same and pools == [2]
 
 
+def _save_multi_chunk_matrix(path):
+    n = 2 * io._CHUNK_ROWS + 1
+    save_matrix(make_batch(np.random.default_rng(3).dirichlet(np.ones(3), size=n)), path)
+
+
+def test_csv_writer_in_a_daemonic_process_formats_serially(tmp_path, monkeypatch, pools):
+    import multiprocessing
+
+    # a multiprocessing.Pool worker is daemonic and may not start children
+    use_cpus(monkeypatch, 2)
+    with multiprocessing.get_context("fork").Pool(1) as worker:
+        worker.apply(_save_multi_chunk_matrix, (tmp_path / "daemon.csv",))
+    _save_multi_chunk_matrix(tmp_path / "main.csv")
+    same = (tmp_path / "daemon.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+    assert same and pools == [2]
+
+
 # --- binary container -------------------------------------------------------------
 
 
