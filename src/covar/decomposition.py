@@ -42,7 +42,14 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .errors import DomainError, InfiniteCrossEntropyError
-from .stats import CONF_CEILING, ROW_SUM_ACCEPT, PredictionStats, ProbabilityBatch, RowColumns
+from .stats import (
+    CONF_CEILING,
+    ROW_SUM_ACCEPT,
+    PredictionStats,
+    ProbabilityBatch,
+    RowColumns,
+    _row_blocks,
+)
 
 __all__ = [
     "EpsilonPolicy",
@@ -198,25 +205,25 @@ def _tail_series(t):
     return t * t * t * acc
 
 
-def _remainder_series(residuals, deviations, mu: float, eps: float) -> float:
+def _remainder_series(residuals, mu: float, eps: float) -> float:
     """exact_ce - approx_ce evaluated without catastrophic cancellation.
 
     Algebraically the remainder is -eps * sum_k (log1p(t_k) - t_k + t_k^2/2)
-    with t_k = d_k / mu; summing the third-order tails directly keeps full
-    relative precision even when the deviations are tiny, where the naive
-    difference of two O(1) cross-entropies would be pure roundoff.  For
-    |t| < 2^-7 each tail is summed as its power series instead.  Far
-    below the mean the stored deviation saturates at exactly -mu (p - mu
-    rounds there once p < ulp(mu)), so the log switches to the raw
+    with t_k = (p(k) - mu) / mu; summing the third-order tails directly
+    keeps full relative precision even when the deviations are tiny, where
+    the naive difference of two O(1) cross-entropies would be pure
+    roundoff.  For |t| < 2^-7 each tail is summed as its power series
+    instead.  Far below the mean the deviation saturates at exactly -mu
+    (p - mu rounds there once p < ulp(mu)), so the log switches to the raw
     probability ratio, which stays exact in that regime.
     """
     acc = 0.0
-    for r, d in zip(residuals, deviations):
-        t = float(d) / mu
+    for r in residuals:
+        t = (r - mu) / mu
         if abs(t) < _TAIL_CUT:
             acc += _tail_series(t)
         else:
-            log_ratio = math.log1p(t) if t > -0.5 else math.log(float(r) / mu)
+            log_ratio = math.log1p(t) if t > -0.5 else math.log(r / mu)
             acc += log_ratio - t + 0.5 * t * t
     return -eps * acc
 
@@ -245,14 +252,12 @@ def decompose_sample(
         p = stats.safe_conf
         mu = (1.0 - p) / (k - 1)
         residuals: Sequence[float] = ()
-        deviations: Sequence[float] = ()
         v = 0.0
         rho = 0.0
     else:
         p = stats.max_conf
         mu = stats.residual_mean
-        residuals = stats.residuals
-        deviations = stats.deviations
+        residuals = stats.residuals.tolist()
         v = stats.rcv
         rho = stats.rho
 
@@ -291,7 +296,7 @@ def decompose_sample(
     else:
         bound = math.inf
 
-    remainder = _remainder_series(residuals, deviations, mu, eps) if v != 0.0 else 0.0
+    remainder = _remainder_series(residuals, mu, eps) if v != 0.0 else 0.0
     if paper_literal:
         remainder += approx_certified - approx
 
@@ -317,7 +322,10 @@ def decompose_batch(
     """Decompose every sample and aggregate the results into batch means.
 
     Computes what :func:`decompose_sample` computes for each row (degenerate
-    rows clamped), as whole-batch numpy columns.  All means use compensated
+    rows clamped), as whole-batch numpy columns.  The (N, K-1) residual work
+    runs over row blocks in a few reused buffers, with the deviations
+    recomputed there from ``residuals``; every reduction runs along a row,
+    so blocking changes no bit of any result.  All means use compensated
     (fsum) summation in input order, so results are deterministic for a
     given input.  The covariance is population normalized (1/N), which is
     what makes mean(g v) = g_bar v_bar + cov_gv exact.  A sample with
@@ -339,16 +347,44 @@ def decompose_batch(
     eps = np.full(n, policy.resolve(mu, k))  # mu, or the checked fixed value
     g = g_coefficient(safe_conf, k, policy)
 
+    # One pass over the (N, K-1) residual block, in row blocks: the row
+    # sums of log p(k) for the exact CE, and of the remainder's tails
+    # log1p(t) - t + t^2/2 with t = (p(k) - mu_row) / mu, where mu_row is
+    # the row's own residual mean and mu the (canonicalized) one above.
     residuals = batch_stats.residuals
-    zero = ~(residuals > 0.0).all(axis=1) & ~degenerate
+    row_mu = batch_stats.residual_mean
+    log_sums = np.empty(n)
+    tail_sums = np.empty(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rows, (t, tails, sq) in _row_blocks(n, k - 1, 3):
+            r = residuals[rows]
+            mu_col = mu[rows, None]
+            np.log(r, out=sq)
+            sq.sum(axis=1, out=log_sums[rows])
+            np.subtract(r, row_mu[rows, None], out=t)
+            np.divide(t, mu_col, out=t)
+            # log(r / mu) where t <= -0.5, since t saturates at -1 once
+            # r < ulp(mu_row); log1p(t) above
+            np.divide(r, mu_col, out=tails)
+            np.log(tails, out=tails)
+            np.log1p(t, out=sq)
+            np.putmask(tails, t > -0.5, sq)
+            tails -= t
+            np.multiply(t, 0.5, out=sq)
+            sq *= t
+            tails += sq
+            small = np.flatnonzero(np.abs(t, out=sq) < _TAIL_CUT)
+            if small.size:
+                np.put(tails, small, _tail_series(np.take(t, small)))
+            tails.sum(axis=1, out=tail_sums[rows])
+    # A residual of exactly 0, and only that, makes its row's log sum -inf.
+    zero = (log_sums == -math.inf) & ~degenerate
     if zero.any():
         raise InfiniteCrossEntropyError(f"sample {int(zero.argmax())}: {_ZERO_RESIDUAL}")
 
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p = np.log(p)
-        resid_logs = np.where(
-            degenerate, (k - 1) * np.log(mu), np.log(residuals).sum(axis=1)
-        )
+        resid_logs = np.where(degenerate, (k - 1) * np.log(mu), log_sums)
         exact = -(1.0 - (k - 1) * eps) * log_p - eps * resid_logs
         middle = (k - 1) * eps * np.log(p / mu)
         gv = g * v
@@ -363,15 +399,7 @@ def decompose_batch(
         assumption_ok = rho < 1.0
         certified = (k - 1) ** 1.5 * eps / (3.0 * (1.0 - rho) ** 3 * mu**3) * v**1.5
         bound = np.where(v == 0.0, 0.0, np.where(assumption_ok, certified, math.inf))
-
-        mu_col = mu[:, None]
-        t = batch_stats.deviations / mu_col
-        log_ratio = np.where(t > -0.5, np.log1p(t), np.log(residuals / mu_col))
-        tails = log_ratio - t + 0.5 * t * t
-        small = np.abs(t) < _TAIL_CUT
-        if small.any():
-            tails[small] = _tail_series(t[small])
-        series = -eps * tails.sum(axis=1)
+        series = -eps * tail_sums
     remainder = np.where(v == 0.0, 0.0, series)
     if paper_literal:
         remainder += approx_certified - approx

@@ -62,19 +62,18 @@ class PredictionStats:
     """Summary statistics of one probability row.
 
     ``residuals`` holds the raw p(k) of the K-1 residual classes in
-    ascending class order (argmax column removed); ``deviations`` holds
-    p(k) - mu in the same order and sums to zero up to roundoff.  The raw
-    values are kept because a probability below mu's ulp is unrecoverable
-    from its deviation (p - mu rounds to exactly -mu).  ``degenerate``
-    marks rows whose max confidence is within ``ONE_HOT_TOL`` of 1, where
-    mu and rho lose meaning.
+    ascending class order (argmax column removed); ``deviations`` is
+    p(k) - mu in the same order, computed from this row on each access.
+    The raw values are kept because a probability below mu's ulp is
+    unrecoverable from its deviation (p - mu rounds to exactly -mu).
+    ``degenerate`` marks rows whose max confidence is within
+    ``ONE_HOT_TOL`` of 1, where mu and rho lose meaning.
     """
 
     max_class: int
     max_conf: float
     residual_mean: float
     residuals: np.ndarray = field(repr=False)
-    deviations: np.ndarray = field(repr=False)
     rcv: float
     rho: float
     degenerate: bool
@@ -87,6 +86,37 @@ class PredictionStats:
     def safe_conf(self) -> float:
         """Max confidence clamped to ``CONF_CEILING`` for 1-p denominators."""
         return min(self.max_conf, CONF_CEILING)
+
+    @property
+    def deviations(self) -> np.ndarray:
+        """p(k) - mu per residual class; sums to zero up to roundoff."""
+        return _read_only(self.residuals - self.residual_mean)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+# The (N, K-1) residual work runs over row blocks of about this many
+# float64s, so each scratch buffer (128 kB) is allocated once per call and
+# stays in cache.
+_BLOCK_ELEMENTS = 1 << 14
+
+
+def _row_blocks(n: int, width: int, buffers: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """Split n rows of ``width`` values into blocks of about
+    ``_BLOCK_ELEMENTS``, yielding each block's row slice with ``buffers``
+    float64 scratch arrays of shape (rows, width), reused by every block.
+
+    Callers reduce only along axis 1, so no result depends on the block
+    size: every bit is the same as in one whole-batch pass.
+    """
+    step = max(1, _BLOCK_ELEMENTS // width)
+    scratch = np.empty((buffers, min(step, n), width))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        yield slice(start, stop), scratch[:, : stop - start]
 
 
 R = TypeVar("R")
@@ -140,10 +170,12 @@ class ProbabilityBatch(RowColumns[PredictionStats]):
     """A validated (N, K) row-stochastic float64 matrix ``values`` with its
     :class:`PredictionStats` as columns, one read-only array per field.
 
-    ``residuals`` and ``deviations`` have shape (N, K-1); every other
-    column has shape (N,).  The batch is also a sequence of per-row
-    :class:`PredictionStats`, each built only when indexed or iterated.
-    Build instances through :meth:`from_array`.
+    ``residuals`` has shape (N, K-1); every other column has shape (N,).
+    ``deviations`` is not stored: it is ``residuals - residual_mean``,
+    recomputed on each access, bitwise what a stored column would hold.
+    The batch is also a sequence of per-row :class:`PredictionStats`, each
+    built only when indexed or iterated.  Build instances through
+    :meth:`from_array`.
     """
 
     row_type: ClassVar[type] = PredictionStats
@@ -153,7 +185,6 @@ class ProbabilityBatch(RowColumns[PredictionStats]):
     max_conf: np.ndarray
     residual_mean: np.ndarray
     residuals: np.ndarray
-    deviations: np.ndarray
     rcv: np.ndarray
     rho: np.ndarray
     degenerate: np.ndarray
@@ -171,6 +202,11 @@ class ProbabilityBatch(RowColumns[PredictionStats]):
         """Max confidence clamped to ``CONF_CEILING`` for 1-p denominators."""
         return np.minimum(self.max_conf, CONF_CEILING)
 
+    @property
+    def deviations(self) -> np.ndarray:
+        """p(k) - mu, shape (N, K-1), computed on each access."""
+        return _read_only(self.residuals - self.residual_mean[:, None])
+
     @classmethod
     def from_array(cls, values: np.ndarray) -> "ProbabilityBatch":
         """Validate the entries, renormalize rows with small sum drift and
@@ -178,6 +214,10 @@ class ProbabilityBatch(RowColumns[PredictionStats]):
         ``ValidationError.row``.  Argmax ties resolve to the lowest class
         index.  Rows with max confidence at or above 1 - 1e-12 are flagged
         degenerate, with rho 0 when the residual mean underflows to zero.
+
+        A C-contiguous float64 input with no row to renormalize is not
+        copied: ``values`` is a read-only view of it, so the batch sees
+        later writes to the caller's array, which stays writable.
         """
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 2:
@@ -190,8 +230,8 @@ class ProbabilityBatch(RowColumns[PredictionStats]):
         if not np.all(np.isfinite(arr)):
             row = int(np.argwhere(~np.isfinite(arr).all(axis=1))[0, 0])
             raise ValidationError("non-finite entry", row=row)
-        neg = arr < 0.0
-        if neg.any():
+        if (arr < 0.0).any():
+            neg = arr < 0.0
             row = int(np.argwhere(neg.any(axis=1))[0, 0])
             raise ValidationError(f"negative entry {float(arr[row][neg[row]][0])!r}", row=row)
         sums = arr.sum(axis=1)
@@ -205,7 +245,7 @@ class ProbabilityBatch(RowColumns[PredictionStats]):
         if fix.any():
             arr = arr.copy()
             arr[fix] = arr[fix] / sums[fix, None]
-        vals = np.ascontiguousarray(arr)
+        vals = np.ascontiguousarray(arr).view()  # freezing a view leaves the input writable
 
         idx = np.arange(n)
         max_class = vals.argmax(axis=1)  # first maximum wins ties
@@ -220,13 +260,20 @@ class ProbabilityBatch(RowColumns[PredictionStats]):
         keep = np.ones((n, k), dtype=bool)
         keep[idx, max_class] = False
         residuals = vals[keep].reshape(n, k - 1)
-        deviations = residuals - mu[:, None]
-        rcv = (deviations * deviations).sum(axis=1) / (k - 1)
-        max_abs_dev = np.abs(deviations).max(axis=1)
+        del keep
+        rcv = np.empty(n)
+        max_abs_dev = np.empty(n)
+        for rows, (dev, sq) in _row_blocks(n, k - 1, 2):
+            np.subtract(residuals[rows], mu[rows, None], out=dev)
+            np.multiply(dev, dev, out=sq)
+            sq.sum(axis=1, out=rcv[rows])
+            np.abs(dev, out=dev)
+            dev.max(axis=1, out=max_abs_dev[rows])
+        rcv /= k - 1
         degenerate = max_conf >= 1.0 - ONE_HOT_TOL
         with np.errstate(divide="ignore", invalid="ignore"):
             rho = np.where(mu > 0.0, max_abs_dev / np.where(mu > 0.0, mu, 1.0), 0.0)
-        return cls(vals, max_class, max_conf, mu, residuals, deviations, rcv, rho, degenerate)
+        return cls(vals, max_class, max_conf, mu, residuals, rcv, rho, degenerate)
 
 
 def compute_stats(batch: ProbabilityBatch) -> ProbabilityBatch:

@@ -120,7 +120,7 @@ def test_batch_values_are_read_only():
     b = batch_of(ROW3)
     with pytest.raises(ValueError):
         b.values[0, 0] = 0.5
-    for name in ("values", *(f.name for f in dataclasses.fields(PredictionStats))):
+    for name in ("values", "deviations", *(f.name for f in dataclasses.fields(PredictionStats))):
         column = getattr(b, name)
         if isinstance(column, np.ndarray):
             with pytest.raises(ValueError):
@@ -128,6 +128,15 @@ def test_batch_values_are_read_only():
     # the renormalized copy is read-only too
     drifted = ProbabilityBatch.from_array(np.array([ROW3]) * (1.0 + 5e-8))
     assert not drifted.values.flags.writeable
+
+
+def test_from_array_leaves_the_callers_array_writable():
+    x = np.array([ROW3, ROW3[::-1]])
+    b = ProbabilityBatch.from_array(x)
+    assert np.shares_memory(b.values, x)  # a float64 C-contiguous input is not copied
+    assert not b.values.flags.writeable
+    x[1] = ROW3  # a training loop refills its softmax buffer
+    assert b.values[1].tolist() == ROW3  # the batch aliases it
 
 
 def test_batch_is_its_own_statistics():
