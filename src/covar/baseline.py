@@ -140,21 +140,24 @@ def retention_from_mask(
     y = np.asarray(true_labels)
     if y.ndim != 1 or y.shape != np.asarray(mask).shape:
         raise ValidationError("labels and mask must be equal-length vectors")
+    if y.dtype.kind not in "iu":
+        raise ValidationError(f"labels must be integers, got {y.dtype}")
     if y.size and (y.min() < 0 or y.max() >= n_classes):
         raise ValidationError(f"labels must lie in [0, {n_classes})")
-    out: dict[int, ClassRetention] = {}
-    for label in np.unique(y):
-        members = y == label
-        count = int(members.sum())
-        retained = int((members & mask).sum())
-        out[int(label)] = ClassRetention(
-            label=int(label),
+    y = y.astype(np.intp, copy=False)  # the bincount of numpy 1.x takes no uint64
+    counts = np.bincount(y, minlength=n_classes).tolist()
+    kept = np.bincount(y[np.asarray(mask, dtype=bool)], minlength=n_classes).tolist()
+    return {
+        label: ClassRetention(
+            label=label,
             count=count,
             retained=retained,
             retention=retained / count,
             inv_sqrt_count=1.0 / math.sqrt(count),
         )
-    return out
+        for label, (count, retained) in enumerate(zip(counts, kept))
+        if count
+    }
 
 
 def threshold_sweep(

@@ -415,14 +415,14 @@ def decompose_batch(
         assumption_ok=assumption_ok,
         epsilon=eps,
     )
-    mc_bar = math.fsum(f.tolist()) / n
-    g_bar = math.fsum(g.tolist()) / n
-    v_bar = math.fsum(v.tolist()) / n
-    cov = math.fsum(((g - g_bar) * (v - v_bar)).tolist()) / n
+    mc_bar = math.fsum(memoryview(f)) / n
+    g_bar = math.fsum(memoryview(g)) / n
+    v_bar = math.fsum(memoryview(v)) / n
+    cov = math.fsum(memoryview((g - g_bar) * (v - v_bar))) / n
     # The lower bound uses the adaptive g whatever the policy, and -log p
     # at the confidence the exact CE used; the clamp only enters 1 - p.
     g_adaptive = g_coefficient(safe_conf, k, EpsilonPolicy.adaptive())
-    lower = math.fsum((-log_p + g_adaptive * v).tolist()) / n
+    lower = math.fsum(memoryview(-log_p + g_adaptive * v)) / n
 
     return BatchDecomposition(
         mc_bar=mc_bar,
@@ -430,9 +430,9 @@ def decompose_batch(
         v_bar=v_bar,
         srcv=g_bar * v_bar,
         cov_gv=cov,
-        batch_ce=math.fsum(exact.tolist()) / n,
+        batch_ce=math.fsum(memoryview(exact)) / n,
         lower_bound=lower,
-        remainder_batch_bound=math.fsum(bound.tolist()) / n,
+        remainder_batch_bound=math.fsum(memoryview(bound)) / n,
         n_samples=n,
         samples=samples,
     )

@@ -12,9 +12,11 @@ Reports are compact JSON (no whitespace, keys in insertion order) from
 the standard library encoder, which writes each float as the shortest
 decimal that parses back to the same float64.  So serialize -> parse is
 value-lossless and parse -> serialize is byte-identical.  A per-sample
-section is held as :class:`Columns` and written as a list of one object
-per row, a few thousand rows at a time, in the same text the encoder
-would give a list of per-row dicts.
+section is held as :class:`Columns`.  One encoder call writes the whole
+report, with each section as a placeholder string; the writer then
+writes the text between placeholders and, in place of each, its section
+as a list of one object per row, a few thousand rows at a time, in the
+same text the encoder would give a list of per-row dicts.
 
 Text of more than one chunk (a report section or the rows of a CSV
 matrix) is formatted on every usable CPU: :func:`_ordered_map` forks a
@@ -419,53 +421,6 @@ def _json_texts(values: np.ndarray, nullable: bool) -> list[str]:
     return texts
 
 
-class _Split(Exception):
-    """The encoder reached a Columns section."""
-
-
-def _default(obj: Any):
-    if isinstance(obj, Columns):
-        raise _Split
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise ValidationError(f"unsupported report value of type {type(obj).__name__}")
-
-
-_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False, default=_default)
-
-
-def _pieces(obj: Any, out: list, open_ids: set) -> None:
-    """Append the JSON text of obj to out, leaving each Columns section in
-    place; the standard encoder writes every part that holds none."""
-    try:
-        out.append(_ENCODER.encode(obj))
-        return
-    except _Split:
-        pass
-    except (TypeError, ValueError) as exc:  # TypeError: a key of unsupported type
-        raise ValidationError(str(exc)) from None
-    if isinstance(obj, Columns):
-        out.append(obj)
-        return
-    if id(obj) in open_ids:
-        raise ValidationError("Circular reference detected")
-    open_ids.add(id(obj))
-    if isinstance(obj, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append(("," if i else "") + _ENCODER.encode(key) + ":")
-            _pieces(value, out, open_ids)
-        out.append("}")
-    else:  # a list or tuple: the only other values the encoder looks inside
-        out.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                out.append(",")
-            _pieces(value, out, open_ids)
-        out.append("]")
-    open_ids.remove(id(obj))
-
-
 def _check_keys(obj: Any) -> None:
     # The encoder would silently turn int, float, bool and None keys into
     # strings, which then parse back as different keys.
@@ -482,16 +437,39 @@ def _check_keys(obj: Any) -> None:
 
 
 def _report_chunks(doc: dict) -> Iterator[str]:
-    """Check the whole report, then yield its text piece by piece."""
-    pieces: list = []
-    _pieces(doc, pieces, set())
+    """Check the whole report, then yield its text piece by piece.
+
+    The encoder writes each :class:`Columns` section as the string
+    ``mark``, whose JSON text then splits the report at the sections.
+    Where that text is also a key's or a value's, the split has more
+    parts than there are sections, and the report is encoded again with
+    a longer mark.
+    """
+    sections: list[Columns] = []
+    parts: list[str] = []
+    mark = ""
+
+    def default(obj: Any):
+        if isinstance(obj, Columns):
+            sections.append(obj)
+            return mark
+        if isinstance(obj, np.generic):
+            return obj.item()
+        raise ValidationError(f"unsupported report value of type {type(obj).__name__}")
+
+    encoder = json.JSONEncoder(separators=(",", ":"), allow_nan=False, default=default)
+    while len(parts) != len(sections) + 1:
+        sections.clear()
+        mark += "\x00"
+        try:
+            parts = encoder.encode(doc).split(encoder.encode(mark))
+        except (TypeError, ValueError) as exc:  # TypeError: a key of unsupported type
+            raise ValidationError(str(exc)) from None
     _check_keys(doc)  # after the encoder has ruled out reference cycles
-    pieces.append("\n")
-    for p in pieces:
-        if isinstance(p, Columns):
-            yield from p._chunks()
-        else:
-            yield p
+    for text, section in zip(parts, sections):
+        yield text
+        yield from section._chunks()
+    yield parts[-1] + "\n"
 
 
 def write_report(doc: dict, stream: TextIO) -> None:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import batch_of, simplex_rows
 from covar.baseline import (
     IGNORE_LABEL,
+    ClassRetention,
     ThresholdPolicy,
     ece,
     retention_from_mask,
@@ -147,6 +148,28 @@ def test_retention_validation():
         retention_from_mask(np.array([0, 5]), np.array([True, True]), n_classes=3)
     with pytest.raises(ValidationError):
         retention_from_mask(np.array([0, 1]), np.array([True]), n_classes=3)
+    # a float label such as 1.5 used to overwrite class 1's entry
+    with pytest.raises(ValidationError, match="labels must be integers, got float64"):
+        retention_from_mask(np.array([0.0, 1.5, 1.0]), np.array([True, True, False]), 3)
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 5), st.booleans()), max_size=40),
+    st.sampled_from(["i1", "u8", "i8"]),
+)
+def test_retention_counts_each_present_class(pairs, dtype):
+    y = np.array([label for label, _ in pairs], dtype=dtype)
+    mask = np.array([kept for _, kept in pairs], dtype=bool)
+    got = retention_from_mask(y, mask, n_classes=6)
+    present = sorted({label for label, _ in pairs})
+    assert list(got) == present  # ascending, absent classes omitted
+    for label in present:
+        count = sum(lab == label for lab, _ in pairs)
+        retained = sum(lab == label and kept for lab, kept in pairs)
+        assert type(got[label].count) is int and type(got[label].retained) is int
+        assert got[label] == ClassRetention(
+            label, count, retained, retained / count, 1.0 / math.sqrt(count)
+        )
 
 
 def test_class_retention_of_threshold_selection():

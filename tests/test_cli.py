@@ -586,6 +586,18 @@ def test_summary_commands_never_import_multiprocessing(tmp_path, matrix_csv, lab
     assert proc.returncode == 0, proc.stderr
 
 
+def test_compare_never_imports_numpy_ma(matrix_csv, labels_file):
+    # np.unique imports numpy.ma on first use, about 20 ms of a compare run
+    script = (
+        "import sys\n"
+        "from covar.cli import run_cli\n"
+        "assert run_cli(['compare', '--input', sys.argv[1], '--labels', sys.argv[2]]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    proc = run_python("-c", script, str(matrix_csv), str(labels_file))
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_non_finite_value_in_a_finite_column_exits_2_with_empty_stdout(
     capsys, monkeypatch, matrix_csv
 ):

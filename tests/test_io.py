@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import simplex_rows, use_cpus
@@ -522,6 +522,28 @@ def test_parse_report_errors():
         parse_report("[1, 2]")
 
 
+def test_sections_inside_lists_and_tuples_and_side_by_side():
+    columns = {"i": np.arange(5), "x": np.arange(5) / 3, "ok": np.arange(5) % 2 == 0}
+    for doc in (
+        lambda section: {"a": [1, section(columns), "x"]},
+        lambda section: {"a": (section(columns),), "b": 2},
+        lambda section: {"a": section(columns), "b": section({"y": np.ones(2)})},
+        lambda section: {"a": [section(columns), section(columns)]},
+    ):
+        assert serialize_report(doc(Columns)) == serialize_report(doc(report_rows))
+
+
+def test_strings_like_the_section_placeholder_are_written_as_they_are():
+    section = Columns({"x": np.array([0.5])})
+    assert serialize_report({"a": "\x00"}) == '{"a":"\\u0000"}\n'
+    assert serialize_report({"a": "\x00", "s": section}) == '{"a":"\\u0000","s":[{"x":0.5}]}\n'
+    # an escaped quote before NULs ends in the text of a placeholder
+    doc = {"\x00": section, "q": '"\x00', "r": ['"\x00\x00', "\\\x00"]}
+    rows = {**doc, "\x00": [{"x": 0.5}]}
+    assert serialize_report(doc) == serialize_report(rows)
+    assert parse_report(serialize_report(doc)) == rows
+
+
 @given(
     st.dictionaries(
         st.text(min_size=1, max_size=8),
@@ -538,9 +560,20 @@ def test_parse_report_errors():
             max_leaves=20,
         ),
         max_size=6,
-    )
+    ),
+    st.integers(0, 6),
 )
-def test_report_round_trip_property(doc):
+@example({"\x00": "\x00"}, 1)
+@example({"\x00\x00": "\x00\x00"}, 0)
+def test_report_round_trip_property(doc, at):
     text = serialize_report(doc)
     assert parse_report(text) == doc
     assert serialize_report(parse_report(text)) == text
+    # a section among the drawn items is written as a list of its rows
+    items = [(key, value) for key, value in doc.items() if key != "samples"]
+    columns = {"x": np.array([0.5, -0.0]), "ok": np.array([True, False])}
+
+    def with_section(section):
+        return dict(items[:at] + [("samples", section(columns))] + items[at:])
+
+    assert serialize_report(with_section(Columns)) == serialize_report(with_section(report_rows))
