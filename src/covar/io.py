@@ -18,6 +18,14 @@ writes the text between placeholders and, in place of each, its section
 as a list of one object per row, a few thousand rows at a time, in the
 same text the encoder would give a list of per-row dicts.
 
+The rows of a section, like those of a CSV matrix, are written a chunk
+at a time as one byte image: each value's text fills a NUL-padded field
+between the keys and separators, and the NULs are then dropped.  numpy
+code in :mod:`covar._floattext` writes the digits: a float exactly as
+``repr`` does in a report and as :func:`format_float` does in a CSV file,
+an integer or bool as JSON does.  The rare float it cannot decide exactly
+(and a non-finite one, null in a report) is formatted on its own.
+
 Text of more than one chunk (a report section or the rows of a CSV
 matrix) is formatted on every usable CPU: :func:`_ordered_map` forks a
 pool of workers that each turn a chunk's start row into its text, and
@@ -39,6 +47,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import signal
 import struct
@@ -276,22 +285,15 @@ def load_matrix(path: str | Path) -> ProbabilityBatch:
         raise ValidationError(f"{p}: {exc}") from exc
 
 
-def _csv_rows(values: np.ndarray, row: str, start: int) -> str:
-    """CSV lines of the chunk of rows from ``start``.  ``row`` is the
-    ``%.17g`` line template, which gives format_float's text for every
-    value but an integral one (0.0, 1.0), where it drops the ``.0``."""
-    chunk = values[start : start + _CHUNK_ROWS]
-    if np.any(chunk == np.trunc(chunk)):
-        return "".join(",".join(map(format_float, r)) + "\n" for r in chunk.tolist())
-    return "".join(map(row.__mod__, map(tuple, chunk.tolist())))
-
-
 def save_matrix(batch: ProbabilityBatch, path: str | Path) -> None:
     p = Path(path)
     if _is_csv(p):
         k = batch.n_classes
-        task = functools.partial(_csv_rows, batch.values, ",".join(["%.17g"] * k) + "\n")
-        texts = _ordered_map(task, range(0, batch.n_samples, _CHUNK_ROWS))
+        literals = ["", *[","] * (k - 1), "\n"]
+        texts = _ordered_map(
+            _chunk_task(list(batch.values.T), literals, shortest=False),
+            range(0, batch.n_samples, _CHUNK_ROWS),
+        )
         with open(p, "w", encoding="utf-8") as fh, contextlib.closing(texts):
             fh.write(",".join(f"c{i}" for i in range(k)) + "\n")
             for text in texts:
@@ -362,8 +364,9 @@ def save_labels(labels: np.ndarray, path: str | Path) -> None:
 class Columns:
     """A report section of one JSON object per row, held as named columns.
 
-    Each column is a 1-d sequence of bools, integers or floats, all of one
-    length, and a row's object has one key per column in column order.
+    Each column is a 1-d sequence of bools, integers or floats of at most
+    64 bits, all of one length, and a row's object has one key per column
+    in column order.
     Floats must be finite, except in the columns named in ``nullable``,
     whose non-finite values are written as null.  The checks run here, so
     a report is never left half-written by a bad value.
@@ -376,10 +379,10 @@ class Columns:
             if not isinstance(name, str):
                 raise ValidationError(f"report keys must be strings, got {name!r}")
             arr = np.asarray(values)
-            if arr.ndim != 1 or arr.dtype.kind not in "biuf":
+            if arr.ndim != 1 or arr.dtype.kind not in "biuf" or arr.dtype.itemsize > 8:
                 raise ValidationError(
-                    f"report column {name!r} must be 1-d bools, integers or floats, "
-                    f"got {arr.dtype} of shape {arr.shape}"
+                    f"report column {name!r} must be 1-d bools, integers or floats "
+                    f"of at most 64 bits, got {arr.dtype} of shape {arr.shape}"
                 )
             if arr.dtype.kind == "f" and name not in self.nullable:
                 bad = np.flatnonzero(~np.isfinite(arr))
@@ -395,30 +398,66 @@ class Columns:
 
     def _chunks(self) -> Iterator[str]:
         """The section's JSON text, a few thousand rows at a time."""
-        keys = (json.dumps(name).replace("%", "%%") for name in self.columns)
-        row = "{" + ",".join(f"{key}:%s" for key in keys) + "}"
-
-        def chunk(start: int) -> str:
-            texts = [
-                _json_texts(arr[start : start + _CHUNK_ROWS], name in self.nullable)
-                for name, arr in self.columns.items()
-            ]
-            return ("," if start else "") + ",".join(map(row.__mod__, zip(*texts)))
-
+        keys = [json.dumps(name) for name in self.columns]
+        # each row starts with the comma that separates it from the one before
+        literals = [",{" + keys[0] + ":", *[f",{key}:" for key in keys[1:]], "}"]
+        texts = _ordered_map(
+            _chunk_task(list(self.columns.values()), literals, shortest=True),
+            range(0, self.n_rows, _CHUNK_ROWS),
+        )
         yield "["
-        yield from _ordered_map(chunk, range(0, self.n_rows, _CHUNK_ROWS))
+        with contextlib.closing(texts):
+            yield next(texts, ",")[1:]
+            yield from texts
         yield "]"
 
 
-def _json_texts(values: np.ndarray, nullable: bool) -> list[str]:
-    """Each value as the encoder writes it; non-finite ones as null if nullable."""
-    if values.dtype.kind == "b":
-        return list(map(("false", "true").__getitem__, values.tolist()))
-    texts = list(map(repr, values.tolist()))  # int and float repr are their JSON text
-    if nullable:
-        for i in np.flatnonzero(~np.isfinite(values)).tolist():
-            texts[i] = "null"
-    return texts
+def _json_float(x: float) -> str:
+    return repr(x) if math.isfinite(x) else "null"
+
+
+def _chunk_task(columns: list[np.ndarray], literals: list[str], shortest: bool) -> Callable[[int], str]:
+    """:func:`_rows_text` of these rows for a chunk's start row.  Imports
+    the text kernel, which builds its tables, here: before a pool forks,
+    and only where text is written."""
+    from . import _floattext  # noqa: F401
+
+    return functools.partial(_rows_text, columns, literals, shortest)
+
+
+def _rows_text(columns: list[np.ndarray], literals: list[str], shortest: bool, start: int) -> str:
+    """Rows ``start`` to ``start + _CHUNK_ROWS`` of the columns as text.
+
+    A row is ``literals[0]``, its value in column 0, ``literals[1]``, ...,
+    ``literals[-1]``.  Floats are written as ``repr`` writes them (null if
+    not finite) if ``shortest``, else as :func:`format_float` writes them;
+    integers and bools as JSON writes them.  Each value is formatted into a
+    NUL-padded field of the row's byte image, and the NULs are then dropped.
+    """
+    from . import _floattext
+
+    parts = [col[start : start + _CHUNK_ROWS] for col in columns]
+    floats = [part for part in parts if part.dtype.kind == "f"]
+    if floats:  # one kernel call for all of them
+        fallback = _json_float if shortest else format_float
+        texts = _floattext.float_fields(np.concatenate(floats), shortest, fallback)
+        floats = iter(np.split(texts, len(floats)))
+    fields = [
+        next(floats) if part.dtype.kind == "f"
+        else _floattext.bool_fields(part) if part.dtype.kind == "b"
+        else _floattext.int_fields(part)
+        for part in parts
+    ]
+    heads = [np.frombuffer(literal.encode("ascii"), dtype=np.uint8) for literal in literals]
+    image = np.empty((len(parts[0]), sum(map(len, heads)) + sum(f.shape[1] for f in fields)), np.uint8)
+    at = 0
+    for head, field in itertools.zip_longest(heads, fields):
+        image[:, at : at + len(head)] = head
+        at += len(head)
+        if field is not None:
+            image[:, at : at + field.shape[1]] = field
+            at += field.shape[1]
+    return image.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _check_keys(obj: Any) -> None:

@@ -485,14 +485,14 @@ def test_a_process_running_threads_formats_serially(capsys, monkeypatch, sized_m
 def test_a_failing_chunk_fails_the_run_as_on_the_serial_path(capsys, monkeypatch, sized_matrices):
     import multiprocessing
 
-    real = covar.io._json_texts
+    real = covar.io._rows_text
 
-    def failing(values, nullable):
-        if len(values) == 1:  # the last chunk of 2 * CHUNK + 1 rows
+    def failing(columns, literals, shortest, start):
+        if start == 2 * CHUNK:  # the last chunk of 2 * CHUNK + 1 rows
             raise RuntimeError(f"chunk failed in process {os.getpid()}")
-        return real(values, nullable)
+        return real(columns, literals, shortest, start)
 
-    monkeypatch.setattr(covar.io, "_json_texts", failing)
+    monkeypatch.setattr(covar.io, "_rows_text", failing)
     argv = ("decompose", "--input", str(sized_matrices[2 * CHUNK + 1]))
     results, pids = [], []
     for cpus in (2, 1):
@@ -521,12 +521,12 @@ def test_a_worker_that_dies_fails_the_run(sized_matrices):
         "import covar.io\n"
         "from covar.cli import run_cli\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "real, parent = covar.io._json_texts, os.getpid()\n"
-        "def dying(values, nullable):\n"
-        "    if len(values) == 1 and os.getpid() != parent:  # the last chunk, in a worker\n"
+        "real, parent = covar.io._rows_text, os.getpid()\n"
+        "def dying(columns, literals, shortest, start):\n"
+        f"    if start == {2 * CHUNK} and os.getpid() != parent:  # the last chunk, in a worker\n"
         "        os.kill(os.getpid(), signal.SIGKILL)\n"
-        "    return real(values, nullable)\n"
-        "covar.io._json_texts = dying\n"
+        "    return real(columns, literals, shortest, start)\n"
+        "covar.io._rows_text = dying\n"
         "code = run_cli(sys.argv[1:])\n"
         "assert not multiprocessing.active_children()\n"
         "sys.exit(code)\n"

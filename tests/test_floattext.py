@@ -1,0 +1,128 @@
+"""The vectorized float-to-text kernel writes exactly the text of ``repr``
+(report sections) and of ``format_float`` (CSV matrices)."""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from covar import _floattext
+from covar.io import Columns, format_float, serialize_report
+from oracles import report_rows
+
+STYLES = {"repr": (True, repr), "format_float": (False, format_float)}
+
+
+def kernel_text(values, shortest, fallback):
+    """The kernel's text of each value, one per line."""
+    fields = _floattext.float_fields(values, shortest, fallback)
+    lines = np.column_stack([fields, np.full(len(fields), ord("\n"), dtype=np.uint8)])
+    return lines.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def assert_exact(values):
+    values = np.asarray(values, dtype=np.float64)
+    floats = values.tolist()
+    for name, (shortest, reference) in STYLES.items():
+        got = kernel_text(values, shortest, reference)
+        want = "\n".join(map(reference, floats)) + "\n"
+        if got != want:  # name the first value that differs, not MBs of text
+            bad = next(i for i, text in enumerate(got.splitlines()) if text != reference(floats[i]))
+            pytest.fail(f"{name}: {floats[bad]!r} written as {got.splitlines()[bad]!r}")
+
+
+def fallbacks(values, shortest):
+    """The values the kernel hands to its per-value function."""
+    seen = []
+
+    def fallback(x):
+        seen.append(x)
+        return repr(x) if shortest else format_float(x)
+
+    _floattext.float_fields(np.asarray(values, dtype=np.float64), shortest, fallback)
+    return seen
+
+
+def test_random_bit_patterns():
+    bits = np.random.default_rng(20261019).integers(0, 2**64, 1_100_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    assert len(values) >= 1_000_000
+    assert_exact(values)
+
+
+def test_uniform_and_log_uniform_values():
+    rng = np.random.default_rng(7)
+    assert_exact(rng.random(200_000))
+    assert_exact(10.0 ** rng.uniform(-300, 300, 200_000) * rng.choice([-1.0, 1.0], 200_000))
+
+
+def test_powers_of_two_and_ten_and_their_neighbours():
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    for powers in (twos, tens):
+        assert_exact(np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)]))
+
+
+def test_short_decimals():
+    k = np.arange(5000)
+    assert_exact(np.concatenate([k / 8, k / 1000, -k / 8]))
+
+
+def test_edge_values():
+    assert_exact(
+        [
+            0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+            -1.7976931348623157e308, 1e16, 9007199254740993.0, 1125899906842624.25,
+            2.0**-25, 1e-5, 1e-4, 123456789012345678.0, 0.1, 1 / 3,
+        ]
+    )
+
+
+def test_the_kernel_decides_short_decimals_and_uniform_values_itself():
+    # exact products (|x| from about 1e-6 to 1e17) need no per-value call
+    k = np.arange(1, 5000)
+    uniform = np.random.default_rng(11).random(100_000)
+    for shortest in (True, False):
+        assert fallbacks(np.concatenate([k / 8, k / 1000, uniform, [0.0, -0.0]]), shortest) == []
+
+
+def test_values_outside_the_scaled_range_and_non_finite_ones_take_the_fallback():
+    values = [5e-324, 1e-300, 1e300, float("inf"), float("nan"), 0.5, 1e300]
+    for shortest in (True, False):
+        seen = fallbacks(values, shortest)  # once per distinct value
+        assert sorted(map(repr, seen)) == ["1e+300", "1e-300", "5e-324", "inf", "nan"]
+    text = kernel_text(np.array([np.nan, np.inf, -np.inf, 2.5]), True, lambda x: "null")
+    assert text == "null\nnull\nnull\n2.5\n"
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+def test_kernel_matches_repr_and_format_float(values):
+    assert_exact(values)
+
+
+EDGE_INTS = [0, -1, np.iinfo(np.int64).min, np.iinfo(np.int64).max]
+
+
+@st.composite
+def sections(draw):
+    n = draw(st.integers(0, 40))
+    floats = hnp.arrays(np.float32, n, elements=st.floats(width=32, allow_nan=False, allow_infinity=False))
+    ints = hnp.arrays(np.int64, n, elements=st.integers(-(2**63), 2**63 - 1) | st.sampled_from(EDGE_INTS))
+    columns = {
+        "f32": draw(floats),
+        "i64": draw(ints),
+        "ok": draw(hnp.arrays(np.bool_, n)),
+        "u64": draw(hnp.arrays(np.uint64, n, elements=st.integers(0, 2**64 - 1) | st.just(2**64 - 1))),
+        "x": draw(hnp.arrays(np.float64, n, elements=st.floats())),
+    }
+    return columns
+
+
+@given(sections())
+def test_sections_match_per_row_dicts(columns):
+    nullable = ("x",)
+    text = serialize_report({"s": Columns(columns, nullable=nullable)})
+    assert text == serialize_report({"s": report_rows(columns, nullable=nullable)})

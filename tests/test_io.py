@@ -209,8 +209,8 @@ def test_csv_writer_matches_whole_text(tmp_path):
 def test_csv_writer_parallel_and_serial_bytes_match(tmp_path, monkeypatch, pools):
     import multiprocessing
 
-    # the second chunk holds 0.0, -0.0 and 1.0, which the %.17g template would
-    # write without their ".0"; the other chunks take the template
+    # the second chunk holds 0.0, -0.0 and 1.0, which %.17g alone writes
+    # without their ".0"
     n = 2 * io._CHUNK_ROWS + 1
     values = np.random.default_rng(5).dirichlet(np.ones(3), size=n)
     values[io._CHUNK_ROWS + 7] = [0.0, 1.0, -0.0]
@@ -493,6 +493,8 @@ def test_columns_reject_what_a_report_cannot_hold():
         "one common length": {"x": np.zeros(2), "y": np.zeros(3)},
         "keys must be strings": {1: np.zeros(2)},
     }
+    if np.dtype(np.longdouble).itemsize > 8:  # extended precision has no float64 text
+        cases["of at most 64 bits"] = {"x": np.zeros(2, dtype=np.longdouble)}
     for message, columns in cases.items():
         with pytest.raises(ValidationError, match=message):
             Columns(columns)
