@@ -18,9 +18,11 @@ is 0 and the product is exact; otherwise it is off by at most about
 * ``repr`` picks the shortest decimal inside x's rounding interval, as
   David Gay's shortest mode does: the interval reaches half a gap to each
   neighbour of x (half of the smaller gap below a power of two), and its
-  ends count only for an even significand.  The largest power of ten
-  ``P`` with a multiple inside the interval gives the length, and of the
-  two multiples of ``P`` next to ``y`` the nearer one inside wins.
+  ends count only for an even significand.  Take ``P``, the largest power
+  of ten up to 1000 with a multiple inside the interval (the interval is
+  under 223 wide, so a multiple of a larger power inside is that same
+  number); of the two multiples of ``P`` next to ``y`` the nearer one
+  inside wins, and its trailing zeros are dropped.
 
 Every decision compares two integers, or a double with 0 or 0.5.  Where
 the product is exact, so are those doubles.  Where it is rounded, a value
@@ -52,7 +54,7 @@ def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
     for s in range(_S_MIN, _S_MAX + 1):
         if s >= 0:
             h = float(10**s)  # int -> float and int / int round correctly
-            rest = (10**s - int(h)) / 1
+            rest = float(10**s - int(h))
         else:
             d = 10**-s
             h = 1 / d
@@ -88,11 +90,11 @@ _EXP_FIELD = np.uint64(0x7FF0_0000_0000_0000)
 _FRACTION = np.uint64(0x000F_FFFF_FFFF_FFFF)
 
 
-def _groups(v: np.ndarray, groups: int) -> np.ndarray:
-    """Non-negative integers below 10**(4 * groups) as rows of base-10**4
+def _groups(v: np.ndarray) -> np.ndarray:
+    """Non-negative integers below 10**20 as rows of five base-10**4
     digits, most significant first."""
-    out = np.empty((len(v), groups), dtype=np.intp)
-    for j in range(groups - 1, 0, -1):
+    out = np.empty((len(v), 5), dtype=np.intp)
+    for j in range(4, 0, -1):
         q = v // 10_000
         out[:, j] = v - q * 10_000
         v = q
@@ -240,7 +242,7 @@ def _float_block(x: np.ndarray, shortest: bool, fallback: Callable[[float], str]
     exp[zero] = 0
     src = np.empty((len(x), _SRC_WIDTH), dtype=np.uint8)
     words = src.view(np.uint32)
-    groups = _groups(c, 5)
+    groups = _groups(c)
     words[:, :5] = _DIGITS4[groups]
     words[:, 5] = _EXP4[exp + 399]
     words[:, 6] = _CONST4
@@ -261,7 +263,8 @@ def _float_block(x: np.ndarray, shortest: bool, fallback: Callable[[float], str]
     index += np.arange(0, src.size, _SRC_WIDTH)[:, None]
     out = np.take(src.ravel(), index)
     # the rest, one fallback call per distinct value (the non-finite ones repeat)
-    redo = np.setdiff1d(np.flatnonzero(unsure), zero, assume_unique=True)
+    unsure[zero] = False
+    redo = np.flatnonzero(unsure)
     if len(redo):
         keys, inverse = np.unique(x[redo].view(np.uint64), return_inverse=True)
         texts = np.zeros((len(keys), FLOAT_WIDTH), dtype=np.uint8)
@@ -283,7 +286,7 @@ def int_fields(values: np.ndarray) -> np.ndarray:
         v = v.astype(np.int64)
         neg = v < 0
         mag = np.where(neg, (~v).astype(np.uint64) + np.uint64(1), v.astype(np.uint64))
-    digits = _DIGITS4[_groups(mag, 5)].view(np.uint8)
+    digits = _DIGITS4[_groups(mag)].view(np.uint8)
     n = np.maximum(np.searchsorted(_UPOW10, mag, side="right"), 1)
     width = int(n.max()) if len(n) else 1
     out = np.empty((len(v), 1 + width), dtype=np.uint8)

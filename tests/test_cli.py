@@ -586,6 +586,23 @@ def test_summary_commands_never_import_multiprocessing(tmp_path, matrix_csv, lab
     assert proc.returncode == 0, proc.stderr
 
 
+def test_only_commands_that_write_sections_load_the_text_kernel(matrix_csv, labels_file):
+    # importing covar._floattext builds its tables, a few ms of start-up
+    script = (
+        "import sys\n"
+        "from covar.cli import run_cli\n"
+        "loaded = lambda: 'covar._floattext' in sys.modules\n"
+        "assert not loaded()\n"
+        "assert run_cli(['compare', '--input', sys.argv[1], '--labels', sys.argv[2]]) == 0\n"
+        "assert run_cli(['grid', '--p-steps', '2', '--v-steps', '2']) == 0\n"
+        "assert not loaded()\n"
+        "assert run_cli(['ece', '--input', sys.argv[1], '--labels', sys.argv[2]]) == 0\n"
+        "assert loaded()  # its bins are a section\n"
+    )
+    proc = run_python("-c", script, str(matrix_csv), str(labels_file))
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_compare_never_imports_numpy_ma(matrix_csv, labels_file):
     # np.unique imports numpy.ma on first use, about 20 ms of a compare run
     script = (
