@@ -7,7 +7,9 @@ by spectrally partitioning samples in a 2-d (confidence, variance)
 embedding.
 
 Each module's ``__all__`` is its public API; the package re-exports all
-of them.
+of them.  So the attribute ``covar.pcos`` is the function ``pcos``, not
+the module of that name, and ``import covar.pcos as m`` binds the
+function too; ``importlib.import_module("covar.pcos")`` gives the module.
 """
 
 from __future__ import annotations

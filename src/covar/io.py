@@ -27,12 +27,10 @@ an integer or bool as JSON does.  The rare float it cannot decide exactly
 (and a non-finite one, null in a report) is formatted on its own.
 
 Text of more than one chunk (a report section or the rows of a CSV
-matrix) is formatted on every usable CPU: :func:`_ordered_map` forks a
-pool of workers that each turn a chunk's start row into its text, and
-the chunks are written in order, a few at a time.  With one usable CPU,
-without ``fork``, in a process that runs other threads, or in a daemonic
-process (which may not start children), the same chunk function runs in
-a loop in this process; the bytes are the same.
+matrix) is formatted on every usable CPU: :func:`_ordered_map` runs the
+chunk function on a thread per CPU, and the chunks are written in order,
+a few at a time.  With one usable CPU the same chunk function runs in a
+loop in the calling thread; the bytes are the same.
 
 Text matrices and labels are parsed by one ``np.loadtxt`` call.  Input it
 rejects is read again line by line, which accepts exactly what Python's
@@ -49,10 +47,7 @@ import itertools
 import json
 import math
 import os
-import signal
 import struct
-import sys
-import threading
 import warnings
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO
@@ -95,9 +90,6 @@ def format_float(x: float) -> str:
 # ---------------------------------------------------------------------------
 # chunked text, formatted in parallel
 
-# The chunk function of a forked pool's workers, set as each one starts.
-_TASK: Callable[[int], str] | None = None
-
 
 def _usable_cpus() -> int:
     try:
@@ -106,55 +98,34 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _set_task(task: Callable[[int], str]) -> None:
-    global _TASK
-    _TASK = task
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the parent, which stops the pool
-
-
-def _run_task(start: int) -> str:
-    return _TASK(start)
-
-
 def _ordered_map(task: Callable[[int], str], starts: range) -> Iterator[str]:
     """``task(start)`` for each start, in order.
 
-    Where there are several starts and CPUs, forked workers run the
-    calls.  ``task`` reaches them through the fork, never pickled, so a
-    call ships only its start row and its text; at most two calls per
-    worker are in flight, which bounds the text held here.  A worker
-    that dies raises ``BrokenProcessPool``.
+    Where there are several starts and CPUs, a thread per CPU runs the
+    calls: the text kernel's numpy passes release the interpreter lock.
+    At most two calls per thread are in flight, which bounds the text
+    held here.  A call's exception is raised here, in its turn.
     """
     workers = min(_usable_cpus(), len(starts))
-    # a daemonic process (a multiprocessing.Pool worker) may not start children
-    mp = sys.modules.get("multiprocessing")
-    if (
-        workers < 2
-        or not hasattr(os, "fork")
-        or threading.active_count() > 1
-        or (mp is not None and mp.current_process().daemon)
-    ):
+    if workers < 2:
         yield from map(task, starts)
         return
     import concurrent.futures
-    import multiprocessing
 
-    pool = concurrent.futures.ProcessPoolExecutor(
-        workers, multiprocessing.get_context("fork"), _set_task, (task,)
-    )
+    pool = concurrent.futures.ThreadPoolExecutor(workers)
     try:
         todo = iter(starts)
         window = collections.deque(
-            pool.submit(_run_task, start) for start in itertools.islice(todo, 2 * workers)
+            pool.submit(task, start) for start in itertools.islice(todo, 2 * workers)
         )
         while window:
             text = window.popleft().result()
             start = next(todo, None)
             if start is not None:
-                window.append(pool.submit(_run_task, start))
+                window.append(pool.submit(task, start))
             yield text
     finally:
-        pool.shutdown(cancel_futures=True)  # waits for the chunks in flight, joins the workers
+        pool.shutdown(cancel_futures=True)  # waits for the calls in flight, joins the threads
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +262,7 @@ def save_matrix(batch: ProbabilityBatch, path: str | Path) -> None:
         k = batch.n_classes
         literals = ["", *[","] * (k - 1), "\n"]
         texts = _ordered_map(
-            _chunk_task(list(batch.values.T), literals, shortest=False),
+            functools.partial(_rows_text, list(batch.values.T), literals, False),
             range(0, batch.n_samples, _CHUNK_ROWS),
         )
         with open(p, "w", encoding="utf-8") as fh, contextlib.closing(texts):
@@ -402,7 +373,7 @@ class Columns:
         # each row starts with the comma that separates it from the one before
         literals = [",{" + keys[0] + ":", *[f",{key}:" for key in keys[1:]], "}"]
         texts = _ordered_map(
-            _chunk_task(list(self.columns.values()), literals, shortest=True),
+            functools.partial(_rows_text, list(self.columns.values()), literals, True),
             range(0, self.n_rows, _CHUNK_ROWS),
         )
         yield "["
@@ -414,15 +385,6 @@ class Columns:
 
 def _json_float(x: float) -> str:
     return repr(x) if math.isfinite(x) else "null"
-
-
-def _chunk_task(columns: list[np.ndarray], literals: list[str], shortest: bool) -> Callable[[int], str]:
-    """:func:`_rows_text` of these rows for a chunk's start row.  Imports
-    the text kernel, which builds its tables, here: before a pool forks,
-    and only where text is written."""
-    from . import _floattext  # noqa: F401
-
-    return functools.partial(_rows_text, columns, literals, shortest)
 
 
 def _rows_text(columns: list[np.ndarray], literals: list[str], shortest: bool, start: int) -> str:

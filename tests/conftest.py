@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+import threading
 
 import hypothesis
 import numpy as np
@@ -76,17 +77,22 @@ def use_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
+def other_threads() -> list[threading.Thread]:
+    """The live threads besides the calling one."""
+    return [t for t in threading.enumerate() if t is not threading.current_thread()]
+
+
 @pytest.fixture()
 def pools(monkeypatch):
-    """The worker count of each process pool started while the test runs."""
+    """The worker count of each thread pool started while the test runs."""
     import concurrent.futures
 
-    started = []
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        started: list[int] = []  # a forked child counts in its own copy
 
-    class Counted(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, *args, **kwargs):
-            started.append(max_workers)
+            self.started.append(max_workers)
             super().__init__(max_workers, *args, **kwargs)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
-    return started
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    return Counted.started

@@ -25,7 +25,7 @@ from covar.io import load_labels, load_matrix, matrix_digest, parse_report, save
 from covar.pcos import DEFAULT_LAMBDA
 from covar.simulator import CovarPolicy, SyntheticConfig, evaluate_policies, generate
 from covar.stats import ProbabilityBatch, compute_stats
-from conftest import use_cpus
+from conftest import other_threads, use_cpus
 from oracles import report_rows
 
 
@@ -451,8 +451,6 @@ def test_report_reaches_stdout_a_chunk_at_a_time(monkeypatch, sized_matrices):
 def test_parallel_and_serial_outputs_are_byte_identical(
     capsys, monkeypatch, tmp_path, sized_matrices, pools, argv
 ):
-    import multiprocessing
-
     n = 2 * CHUNK + 1
     simulate = argv[0] == "simulate"
     out_csv = tmp_path / "m.csv"
@@ -464,7 +462,7 @@ def test_parallel_and_serial_outputs_are_byte_identical(
     for cpus in (2, 1):
         use_cpus(monkeypatch, cpus)
         code, out, err = run(capsys, *argv)
-        assert not multiprocessing.active_children()
+        assert not other_threads()
         results.append((code, err, out, out_csv.read_bytes() if simulate else None))
     # the first run started one pool per multi-chunk text (the samples, the CSV)
     # and the second run none
@@ -473,72 +471,53 @@ def test_parallel_and_serial_outputs_are_byte_identical(
     assert same and results[0][:2] == (0, "")
 
 
-def test_a_process_running_threads_formats_serially(capsys, monkeypatch, sized_matrices, pools):
+def test_a_process_running_threads_formats_in_parallel(capsys, monkeypatch, sized_matrices, pools):
     argv = ("decompose", "--input", str(sized_matrices[2 * CHUNK + 1]))
+    use_cpus(monkeypatch, 1)
+    serial = run(capsys, *argv)
     use_cpus(monkeypatch, 2)
-    parallel = run(capsys, *argv)
-    monkeypatch.setattr(threading, "active_count", lambda: 2)
-    same = run(capsys, *argv) == parallel
-    assert same and parallel[0] == 0 and pools == [2]
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        parallel = run(capsys, *argv)
+    finally:
+        done.set()
+        other.join(timeout=10)
+    same = parallel == serial
+    assert same and serial[0] == 0 and pools == [2] and not other.is_alive()
 
 
 def test_a_failing_chunk_fails_the_run_as_on_the_serial_path(capsys, monkeypatch, sized_matrices):
-    import multiprocessing
-
     real = covar.io._rows_text
 
     def failing(columns, literals, shortest, start):
         if start == 2 * CHUNK:  # the last chunk of 2 * CHUNK + 1 rows
-            raise RuntimeError(f"chunk failed in process {os.getpid()}")
+            raise RuntimeError(f"chunk failed in thread {threading.get_ident()}")
         return real(columns, literals, shortest, start)
 
     monkeypatch.setattr(covar.io, "_rows_text", failing)
     argv = ("decompose", "--input", str(sized_matrices[2 * CHUNK + 1]))
-    results, pids = [], []
+    results, threads = [], []
     for cpus in (2, 1):
         use_cpus(monkeypatch, cpus)
         code, out, err = run(capsys, *argv)
-        assert not multiprocessing.active_children()
-        head, pid = err.rsplit(" ", 1)
+        assert not other_threads()
+        head, ident = err.rsplit(" ", 1)
         results.append((code, out, head))
-        pids.append(int(pid))
-    assert results[0][::2] == (1, "internal error: RuntimeError: chunk failed in process")
+        threads.append(int(ident))
+    assert results[0][::2] == (1, "internal error: RuntimeError: chunk failed in thread")
     same = results[0] == results[1]  # both wrote the chunks before the failing one
-    assert same and pids[0] != os.getpid() == pids[1]
-    # write_report raises what the worker raised
+    assert same and threads[0] != threading.get_ident() == threads[1]
+    # write_report raises what the chunk raised
     use_cpus(monkeypatch, 2)
     doc = {"samples": covar.io.Columns({"x": np.zeros(2 * CHUNK + 1)})}
     with pytest.raises(RuntimeError, match="chunk failed"):
         covar.io.write_report(doc, io.StringIO())
-    assert not multiprocessing.active_children()
-
-
-def test_a_worker_that_dies_fails_the_run(sized_matrices):
-    # the run must fail, not wait forever for the lost chunk, so it runs in
-    # a child with a timeout
-    script = (
-        "import multiprocessing, os, signal, sys\n"
-        "import covar.io\n"
-        "from covar.cli import run_cli\n"
-        "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "real, parent = covar.io._rows_text, os.getpid()\n"
-        "def dying(columns, literals, shortest, start):\n"
-        f"    if start == {2 * CHUNK} and os.getpid() != parent:  # the last chunk, in a worker\n"
-        "        os.kill(os.getpid(), signal.SIGKILL)\n"
-        "    return real(columns, literals, shortest, start)\n"
-        "covar.io._rows_text = dying\n"
-        "code = run_cli(sys.argv[1:])\n"
-        "assert not multiprocessing.active_children()\n"
-        "sys.exit(code)\n"
-    )
-    argv = ["decompose", "--input", str(sized_matrices[2 * CHUNK + 1])]
-    proc = run_python("-c", script, *argv, timeout=60)
-    assert proc.returncode == 1 and "internal error: BrokenProcessPool:" in proc.stderr
+    assert not other_threads()
 
 
 def test_a_closed_stdout_stops_the_workers(capsys, monkeypatch, sized_matrices, pools):
-    import multiprocessing
-
     class Closed(io.StringIO):
         def write(self, text):
             if len(text) > 30_000:  # the first chunk of samples
@@ -548,17 +527,17 @@ def test_a_closed_stdout_stops_the_workers(capsys, monkeypatch, sized_matrices, 
     use_cpus(monkeypatch, 2)
     monkeypatch.setattr(sys, "stdout", Closed())
     assert run_cli(["decompose", "--input", str(sized_matrices[2 * CHUNK + 1])]) == 2
-    assert pools == [2] and not multiprocessing.active_children()
+    assert pools == [2] and not other_threads()
     # also while the error, and so write_report's frame, is still held
     doc = {"samples": covar.io.Columns({"x": np.zeros(2 * CHUNK + 1)})}
     with pytest.raises(BrokenPipeError) as caught:
         covar.io.write_report(doc, Closed())
-    assert pools == [2, 2] and not multiprocessing.active_children() and caught.tb
+    assert pools == [2, 2] and not other_threads() and caught.tb
 
 
 def test_workers_do_not_repeat_buffered_stdout(capsys, monkeypatch, sized_matrices):
-    # a pipe holds the report's head in sys.stdout's buffer when the workers
-    # fork, and each worker flushes its copy of sys.stdout on exit
+    # the report goes to a pipe, as from a shell, while the threads format
+    # its sections; stdout gets the serial run's bytes, each once
     argv = ["decompose", "--input", str(sized_matrices[2 * CHUNK + 1])]
     script = (
         "import os, sys\n"
@@ -573,16 +552,25 @@ def test_workers_do_not_repeat_buffered_stdout(capsys, monkeypatch, sized_matric
     assert same and (proc.returncode, proc.stderr) == (0, "") and code == 0
 
 
-def test_summary_commands_never_import_multiprocessing(tmp_path, matrix_csv, labels_file):
-    # compare and ece write kB reports, so they never pay for the import
+def test_summary_commands_never_import_multiprocessing(tmp_path, matrix_csv, labels_file, sized_matrices):
+    # compare and ece write kB reports; decompose, select and simulate
+    # format their multi-chunk text on threads, which need no processes
     script = (
-        "import sys\n"
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "from covar.cli import run_cli\n"
+        "matrix, labels, big, out = sys.argv[1:]\n"
         "for cmd in ('ece', 'compare'):\n"
-        "    assert run_cli([cmd, '--input', sys.argv[1], '--labels', sys.argv[2]]) == 0\n"
+        "    assert run_cli([cmd, '--input', matrix, '--labels', labels]) == 0\n"
+        "sys.stdout = open(os.devnull, 'w')\n"
+        "for cmd in ('decompose', 'select'):\n"
+        "    assert run_cli([cmd, '--input', big]) == 0\n"
+        f"assert run_cli(['simulate', '--n', '{2 * CHUNK + 1}', '--k', '6', '--out', out]) == 0\n"
         "assert 'multiprocessing' not in sys.modules\n"
+        "assert 'concurrent.futures.thread' in sys.modules  # the parallel path ran\n"
     )
-    proc = run_python("-c", script, str(matrix_csv), str(labels_file))
+    big = sized_matrices[2 * CHUNK + 1]
+    proc = run_python("-c", script, str(matrix_csv), str(labels_file), str(big), str(tmp_path / "m.csv"))
     assert proc.returncode == 0, proc.stderr
 
 

@@ -2,6 +2,9 @@
 (report sections) and of ``format_float`` (CSV matrices)."""
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -96,6 +99,41 @@ def test_values_outside_the_scaled_range_and_non_finite_ones_take_the_fallback()
         assert sorted(map(repr, seen)) == ["1e+300", "1e-300", "5e-324", "inf", "nan"]
     text = kernel_text(np.array([np.nan, np.inf, -np.inf, 2.5]), True, lambda x: "null")
     assert text == "null\nnull\nnull\n2.5\n"
+
+
+def test_threads_write_what_one_thread_writes():
+    # report sections and CSV rows are formatted on a thread per CPU; four
+    # threads at once, each on its own arrays of several kernel passes
+    rng = np.random.default_rng(16)
+    tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300, np.inf, np.nan]
+    mixed = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), edges])
+    jobs = []
+    for _ in range(8):
+        bits = rng.integers(0, 2**64, 2 * _floattext._BLOCK, dtype=np.uint64).view(np.float64)
+        values = rng.permutation(np.concatenate([bits[np.isfinite(bits)], mixed]))
+        jobs += [(values, shortest, fallback) for shortest, fallback in STYLES.values()]
+    want = [_floattext.float_fields(*job) for job in jobs]
+    got = [None] * len(jobs)
+    start = threading.Barrier(4)
+
+    def work(first):
+        start.wait(timeout=60)
+        for j in range(first, len(jobs), 4):
+            got[j] = _floattext.float_fields(*jobs[j])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(g is not None and np.array_equal(g, w) for g, w in zip(got, want))
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))

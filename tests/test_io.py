@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import simplex_rows, use_cpus
+from conftest import other_threads, simplex_rows, use_cpus
 from covar import io
 from covar.errors import ParseError, ValidationError
 from covar.io import (
@@ -207,8 +207,6 @@ def test_csv_writer_matches_whole_text(tmp_path):
 
 
 def test_csv_writer_parallel_and_serial_bytes_match(tmp_path, monkeypatch, pools):
-    import multiprocessing
-
     # the second chunk holds 0.0, -0.0 and 1.0, which %.17g alone writes
     # without their ".0"
     n = 2 * io._CHUNK_ROWS + 1
@@ -222,27 +220,32 @@ def test_csv_writer_parallel_and_serial_bytes_match(tmp_path, monkeypatch, pools
     for cpus in (2, 1):
         use_cpus(monkeypatch, cpus)
         save_matrix(batch, tmp_path / "m.csv")
-        assert not multiprocessing.active_children()
+        assert not other_threads()
         texts.append((tmp_path / "m.csv").read_text())
     same = texts == [want, want]  # not asserted inline: a diff of MBs of text is slow
     assert same and pools == [2]
 
 
 def _save_multi_chunk_matrix(path):
+    """Write a matrix of three chunks; the pools fixture's count in this process."""
+    import concurrent.futures
+
     n = 2 * io._CHUNK_ROWS + 1
     save_matrix(make_batch(np.random.default_rng(3).dirichlet(np.ones(3), size=n)), path)
+    return concurrent.futures.ThreadPoolExecutor.started
 
 
-def test_csv_writer_in_a_daemonic_process_formats_serially(tmp_path, monkeypatch, pools):
+def test_csv_writer_in_a_daemonic_process_formats_in_parallel(tmp_path, monkeypatch, pools):
     import multiprocessing
 
-    # a multiprocessing.Pool worker is daemonic and may not start children
+    # a multiprocessing.Pool worker is daemonic; its threads format the chunks
     use_cpus(monkeypatch, 2)
     with multiprocessing.get_context("fork").Pool(1) as worker:
-        worker.apply(_save_multi_chunk_matrix, (tmp_path / "daemon.csv",))
+        started = worker.apply(_save_multi_chunk_matrix, (tmp_path / "daemon.csv",))
+    use_cpus(monkeypatch, 1)
     _save_multi_chunk_matrix(tmp_path / "main.csv")
     same = (tmp_path / "daemon.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
-    assert same and pools == [2]
+    assert same and started == [2] and pools == []
 
 
 # --- binary container -------------------------------------------------------------

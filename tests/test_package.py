@@ -46,3 +46,12 @@ def test_one_batch_object():
     assert not hasattr(stats, "BatchStats")
     # 56 names, plus io's streaming report writer and its Columns section
     assert len(covar.__all__) == 58
+
+
+def test_the_attribute_covar_pcos_is_the_function():
+    # `from .pcos import *` rebinds the package attribute to the function of
+    # that name; the module is reached through importlib.  Renaming either
+    # changes the public API.
+    module = importlib.import_module("covar.pcos")
+    assert covar.pcos is module.pcos and callable(covar.pcos)
+    assert module.__name__ == "covar.pcos" and module is not covar.pcos
