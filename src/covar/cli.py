@@ -99,7 +99,7 @@ def _cmd_decompose(args) -> dict:
     per = agg.samples
     samples = Columns(
         {
-            "index": range(len(per)),
+            "index": np.arange(len(per)),
             "max_class": batch.max_class,
             "max_conf": batch.max_conf,
             "rcv": batch.rcv,
@@ -162,7 +162,7 @@ def _cmd_select(args) -> dict:
     result = pcos(batch, args.embedding, args.lam, alg1_exponent=args.alg1_exponent)
     samples = Columns(
         {
-            "index": range(len(batch)),
+            "index": np.arange(len(batch)),
             "max_class": batch.max_class,
             "max_conf": batch.max_conf,
             "rcv": batch.rcv,
@@ -245,7 +245,7 @@ def _cmd_simulate(args) -> dict:
     correct = batch.max_class == labels
     samples = Columns(
         {
-            "index": range(len(batch)),
+            "index": np.arange(len(batch)),
             "true_label": labels,
             "max_class": batch.max_class,
             "correct": correct,

@@ -228,6 +228,42 @@ def _remainder_series(residuals, mu: float, eps: float) -> float:
     return -eps * acc
 
 
+def _certificate(k: int, eps, rho, mu, v):
+    """The remainder bound C v^{3/2} while rho < 1; floats or arrays."""
+    return (k - 1) ** 1.5 * eps / (3.0 * (1.0 - rho) ** 3 * mu**3) * v**1.5
+
+
+def _fields(log, k, p, mu, v, rho, eps, g, log_p, resid_logs, remainder, bound, *, paper_literal):
+    """The :class:`CEDecomposition` fields of one row, or of a batch as columns.
+
+    ``log`` is ``math.log`` for Python floats or ``np.log`` for arrays, so
+    each caller keeps its own bits.  ``resid_logs`` is the row sum of the
+    residual logs, and ``remainder`` and ``bound`` are the certified form's;
+    the paper-literal form shifts the remainder by its distance from the
+    certified approximation.
+    """
+    middle = (k - 1) * eps * log(p / mu)
+    gv = g * v
+    approx = -log_p + middle + gv
+    if paper_literal:
+        f = log_p + (k - 1) * eps * log(p / (1.0 - p))
+        certified_approx, approx = approx, -f + gv
+        remainder = remainder + (certified_approx - approx)
+    else:
+        f = log_p - middle
+    return dict(
+        exact_ce=-(1.0 - (k - 1) * eps) * log_p - eps * resid_logs,
+        f_term=f,
+        g_coeff=g,
+        middle_term=middle,
+        approx_ce=approx,
+        remainder_bound=bound,
+        remainder_actual=remainder,
+        assumption_ok=rho < 1.0,
+        epsilon=eps,
+    )
+
+
 _ZERO_RESIDUAL = (
     "a residual class has probability exactly 0 while the "
     "smoothed target puts mass on every class"
@@ -274,43 +310,18 @@ def decompose_sample(
         resid_logs = math.fsum(math.log(r) for r in residuals)
     else:
         resid_logs = (k - 1) * math.log(mu) if mu > 0.0 else 0.0
-    exact = -(1.0 - (k - 1) * eps) * log_p - eps * resid_logs
 
-    middle = (k - 1) * eps * math.log(p / mu)
-    gv = g * v
-    approx_certified = -log_p + middle + gv
-    if paper_literal:
-        f = log_p + (k - 1) * eps * math.log(p / (1.0 - p))
-        approx = -f + gv
-    else:
-        approx = approx_certified
-        f = log_p - middle
-
-    assumption_ok = rho < 1.0
+    # C only where rho < 1 and v > 0: a float division by zero raises here.
     if v == 0.0:
-        bound = 0.0
-    elif assumption_ok:
-        bound = (
-            (k - 1) ** 1.5 * eps / (3.0 * (1.0 - rho) ** 3 * mu**3)
-        ) * v**1.5
+        bound = remainder = 0.0
     else:
-        bound = math.inf
-
-    remainder = _remainder_series(residuals, mu, eps) if v != 0.0 else 0.0
-    if paper_literal:
-        remainder += approx_certified - approx
-
-    return CEDecomposition(
-        exact_ce=exact,
-        f_term=f,
-        g_coeff=g,
-        middle_term=middle,
-        approx_ce=approx,
-        remainder_bound=bound,
-        remainder_actual=remainder,
-        assumption_ok=assumption_ok,
-        epsilon=eps,
+        bound = _certificate(k, eps, rho, mu, v) if rho < 1.0 else math.inf
+        remainder = _remainder_series(residuals, mu, eps)
+    fields = _fields(
+        math.log, k, p, mu, v, rho, eps, g, log_p, resid_logs, remainder, bound,
+        paper_literal=paper_literal,
     )
+    return CEDecomposition(**fields)
 
 
 def decompose_batch(
@@ -385,37 +396,15 @@ def decompose_batch(
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p = np.log(p)
         resid_logs = np.where(degenerate, (k - 1) * np.log(mu), log_sums)
-        exact = -(1.0 - (k - 1) * eps) * log_p - eps * resid_logs
-        middle = (k - 1) * eps * np.log(p / mu)
-        gv = g * v
-        approx_certified = -log_p + middle + gv
-        if paper_literal:
-            f = log_p + (k - 1) * eps * np.log(p / (1.0 - p))
-            approx = -f + gv
-        else:
-            approx = approx_certified
-            f = log_p - middle
-
-        assumption_ok = rho < 1.0
-        certified = (k - 1) ** 1.5 * eps / (3.0 * (1.0 - rho) ** 3 * mu**3) * v**1.5
-        bound = np.where(v == 0.0, 0.0, np.where(assumption_ok, certified, math.inf))
-        series = -eps * tail_sums
-    remainder = np.where(v == 0.0, 0.0, series)
-    if paper_literal:
-        remainder += approx_certified - approx
-
-    samples = DecompositionColumns(
-        exact_ce=exact,
-        f_term=f,
-        g_coeff=g,
-        middle_term=middle,
-        approx_ce=approx,
-        remainder_bound=bound,
-        remainder_actual=remainder,
-        assumption_ok=assumption_ok,
-        epsilon=eps,
-    )
-    mc_bar = math.fsum(memoryview(f)) / n
+        certified = np.where(rho < 1.0, _certificate(k, eps, rho, mu, v), math.inf)
+        bound = np.where(v == 0.0, 0.0, certified)
+        remainder = np.where(v == 0.0, 0.0, -eps * tail_sums)
+        fields = _fields(
+            np.log, k, p, mu, v, rho, eps, g, log_p, resid_logs, remainder, bound,
+            paper_literal=paper_literal,
+        )
+    samples = DecompositionColumns(**fields)
+    mc_bar = math.fsum(memoryview(samples.f_term)) / n
     g_bar = math.fsum(memoryview(g)) / n
     v_bar = math.fsum(memoryview(v)) / n
     cov = math.fsum(memoryview((g - g_bar) * (v - v_bar))) / n
@@ -430,7 +419,7 @@ def decompose_batch(
         v_bar=v_bar,
         srcv=g_bar * v_bar,
         cov_gv=cov,
-        batch_ce=math.fsum(memoryview(exact)) / n,
+        batch_ce=math.fsum(memoryview(samples.exact_ce)) / n,
         lower_bound=lower,
         remainder_batch_bound=math.fsum(memoryview(bound)) / n,
         n_samples=n,
