@@ -42,7 +42,7 @@ FLOAT_WIDTH = 24  # a sign, then at most 23 characters: -1.2345678901234567e-308
 BOOL_WIDTH = 5
 
 _MARGIN = 2.0**-30
-_BLOCK = 1 << 13  # values per kernel pass: bounds the scratch each formatting thread holds
+_BLOCK = 1 << 13  # values per kernel pass: bounds the scratch one pass holds
 _TINY, _HUGE = 1e-280, 1e280
 _S_MIN, _S_MAX = -265, 300  # 10**s for every |x| in (_TINY, _HUGE)
 

@@ -26,12 +26,6 @@ code in :mod:`covar._floattext` writes the digits: a float exactly as
 an integer or bool as JSON does.  The rare float it cannot decide exactly
 (and a non-finite one, null in a report) is formatted on its own.
 
-Text of more than one chunk (a report section or the rows of a CSV
-matrix) is formatted on every usable CPU: :func:`_ordered_map` runs the
-chunk function on a thread per CPU, and the chunks are written in order,
-a few at a time.  With one usable CPU the same chunk function runs in a
-loop in the calling thread; the bytes are the same.
-
 Text matrices and labels are parsed by one ``np.loadtxt`` call.  Input it
 rejects is read again line by line, which accepts exactly what Python's
 ``float()`` and ``int()`` accept and names the file line of an error.
@@ -39,18 +33,14 @@ rejects is read again line by line, which accepts exactly what Python's
 
 from __future__ import annotations
 
-import collections
-import contextlib
-import functools
 import hashlib
 import itertools
 import json
 import math
-import os
 import struct
 import warnings
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TextIO
+from typing import Any, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -85,47 +75,6 @@ def format_float(x: float) -> str:
     if "." not in s and "e" not in s and "n" not in s and "i" not in s:
         s += ".0"
     return s
-
-
-# ---------------------------------------------------------------------------
-# chunked text, formatted in parallel
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has it
-        return os.cpu_count() or 1
-
-
-def _ordered_map(task: Callable[[int], str], starts: range) -> Iterator[str]:
-    """``task(start)`` for each start, in order.
-
-    Where there are several starts and CPUs, a thread per CPU runs the
-    calls: the text kernel's numpy passes release the interpreter lock.
-    At most two calls per thread are in flight, which bounds the text
-    held here.  A call's exception is raised here, in its turn.
-    """
-    workers = min(_usable_cpus(), len(starts))
-    if workers < 2:
-        yield from map(task, starts)
-        return
-    import concurrent.futures
-
-    pool = concurrent.futures.ThreadPoolExecutor(workers)
-    try:
-        todo = iter(starts)
-        window = collections.deque(
-            pool.submit(task, start) for start in itertools.islice(todo, 2 * workers)
-        )
-        while window:
-            text = window.popleft().result()
-            start = next(todo, None)
-            if start is not None:
-                window.append(pool.submit(task, start))
-            yield text
-    finally:
-        pool.shutdown(cancel_futures=True)  # waits for the calls in flight, joins the threads
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +209,12 @@ def save_matrix(batch: ProbabilityBatch, path: str | Path) -> None:
     p = Path(path)
     if _is_csv(p):
         k = batch.n_classes
+        columns = list(batch.values.T)
         literals = ["", *[","] * (k - 1), "\n"]
-        texts = _ordered_map(
-            functools.partial(_rows_text, list(batch.values.T), literals, False),
-            range(0, batch.n_samples, _CHUNK_ROWS),
-        )
-        with open(p, "w", encoding="utf-8") as fh, contextlib.closing(texts):
+        with open(p, "w", encoding="utf-8") as fh:
             fh.write(",".join(f"c{i}" for i in range(k)) + "\n")
-            for text in texts:
-                fh.write(text)
+            for start in range(0, batch.n_samples, _CHUNK_ROWS):
+                fh.write(_rows_text(columns, literals, False, start))
     else:
         p.write_bytes(b"".join(_encoding(batch)))
 
@@ -372,14 +318,11 @@ class Columns:
         keys = [json.dumps(name) for name in self.columns]
         # each row starts with the comma that separates it from the one before
         literals = [",{" + keys[0] + ":", *[f",{key}:" for key in keys[1:]], "}"]
-        texts = _ordered_map(
-            functools.partial(_rows_text, list(self.columns.values()), literals, True),
-            range(0, self.n_rows, _CHUNK_ROWS),
-        )
+        columns = list(self.columns.values())
         yield "["
-        with contextlib.closing(texts):
-            yield next(texts, ",")[1:]
-            yield from texts
+        for start in range(0, self.n_rows, _CHUNK_ROWS):
+            text = _rows_text(columns, literals, True, start)
+            yield text[1:] if start == 0 else text
         yield "]"
 
 
@@ -480,9 +423,8 @@ def write_report(doc: dict, stream: TextIO) -> None:
     Every check runs before the first write, so a report that fails one
     writes nothing.
     """
-    with contextlib.closing(_report_chunks(doc)) as chunks:
-        for chunk in chunks:
-            stream.write(chunk)
+    for chunk in _report_chunks(doc):
+        stream.write(chunk)
 
 
 def serialize_report(doc: dict) -> str:

@@ -1,12 +1,10 @@
-"""Shared fixtures and hypothesis strategies for the covar test suite."""
+"""Shared helpers and hypothesis strategies for the covar test suite."""
 from __future__ import annotations
 
 import os
-import threading
 
 import hypothesis
 import numpy as np
-import pytest
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -71,28 +69,3 @@ def confident_rows(draw, min_k: int = 3, max_k: int = 10):
 def batch_of(rows) -> ProbabilityBatch:
     return ProbabilityBatch.from_array(np.atleast_2d(np.asarray(rows, dtype=np.float64)))
 
-
-def use_cpus(monkeypatch, n):
-    """Make n CPUs usable to this process: 1 forces the serial path."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-def other_threads() -> list[threading.Thread]:
-    """The live threads besides the calling one."""
-    return [t for t in threading.enumerate() if t is not threading.current_thread()]
-
-
-@pytest.fixture()
-def pools(monkeypatch):
-    """The worker count of each thread pool started while the test runs."""
-    import concurrent.futures
-
-    class Counted(concurrent.futures.ThreadPoolExecutor):
-        started: list[int] = []  # a forked child counts in its own copy
-
-        def __init__(self, max_workers=None, *args, **kwargs):
-            self.started.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
-    return Counted.started

@@ -9,7 +9,6 @@ import os
 import struct
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -25,7 +24,6 @@ from covar.io import load_labels, load_matrix, matrix_digest, parse_report, save
 from covar.pcos import DEFAULT_LAMBDA
 from covar.simulator import CovarPolicy, SyntheticConfig, evaluate_policies, generate
 from covar.stats import ProbabilityBatch, compute_stats
-from conftest import other_threads, use_cpus
 from oracles import report_rows
 
 
@@ -438,126 +436,56 @@ def test_report_reaches_stdout_a_chunk_at_a_time(monkeypatch, sized_matrices):
     assert max(sizes) < sum(sizes) / 2  # the samples went out in three chunks
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("decompose",),
-        ("decompose", "--epsilon", "0.01"),
-        ("decompose", "--paper-literal"),
-        ("select",),
-        ("simulate", "--k", "6", "--temp", "0.25", "--residual", "bimodal", "--seed", "4"),
-    ],
-)
-def test_parallel_and_serial_outputs_are_byte_identical(
-    capsys, monkeypatch, tmp_path, sized_matrices, pools, argv
-):
-    n = 2 * CHUNK + 1
-    simulate = argv[0] == "simulate"
-    out_csv = tmp_path / "m.csv"
-    if simulate:
-        argv = (*argv, "--n", str(n), "--out", str(out_csv))
-    else:
-        argv = (*argv, "--input", str(sized_matrices[n]))
-    results = []
-    for cpus in (2, 1):
-        use_cpus(monkeypatch, cpus)
-        code, out, err = run(capsys, *argv)
-        assert not other_threads()
-        results.append((code, err, out, out_csv.read_bytes() if simulate else None))
-    # the first run started one pool per multi-chunk text (the samples, the CSV)
-    # and the second run none
-    assert pools == [2] * (1 + simulate)
-    same = results[0] == results[1]  # not asserted inline: a diff of MBs of text is slow
-    assert same and results[0][:2] == (0, "")
-
-
-def test_a_process_running_threads_formats_in_parallel(capsys, monkeypatch, sized_matrices, pools):
-    argv = ("decompose", "--input", str(sized_matrices[2 * CHUNK + 1]))
-    use_cpus(monkeypatch, 1)
-    serial = run(capsys, *argv)
-    use_cpus(monkeypatch, 2)
-    done = threading.Event()
-    other = threading.Thread(target=done.wait)
-    other.start()
-    try:
-        parallel = run(capsys, *argv)
-    finally:
-        done.set()
-        other.join(timeout=10)
-    same = parallel == serial
-    assert same and serial[0] == 0 and pools == [2] and not other.is_alive()
-
-
 def test_a_failing_chunk_fails_the_run_as_on_the_serial_path(capsys, monkeypatch, sized_matrices):
+    argv = ("decompose", "--input", str(sized_matrices[2 * CHUNK + 1]))
+    whole = run(capsys, *argv)[1]
     real = covar.io._rows_text
 
     def failing(columns, literals, shortest, start):
         if start == 2 * CHUNK:  # the last chunk of 2 * CHUNK + 1 rows
-            raise RuntimeError(f"chunk failed in thread {threading.get_ident()}")
+            raise RuntimeError("chunk failed")
         return real(columns, literals, shortest, start)
 
     monkeypatch.setattr(covar.io, "_rows_text", failing)
-    argv = ("decompose", "--input", str(sized_matrices[2 * CHUNK + 1]))
-    results, threads = [], []
-    for cpus in (2, 1):
-        use_cpus(monkeypatch, cpus)
-        code, out, err = run(capsys, *argv)
-        assert not other_threads()
-        head, ident = err.rsplit(" ", 1)
-        results.append((code, out, head))
-        threads.append(int(ident))
-    assert results[0][::2] == (1, "internal error: RuntimeError: chunk failed in thread")
-    same = results[0] == results[1]  # both wrote the chunks before the failing one
-    assert same and threads[0] != threading.get_ident() == threads[1]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "internal error: RuntimeError: chunk failed\n")
+    # stdout holds the report up to the failing chunk's first row
+    assert out == whole[: whole.index(f',{{"index":{2 * CHUNK},')]
     # write_report raises what the chunk raised
-    use_cpus(monkeypatch, 2)
     doc = {"samples": covar.io.Columns({"x": np.zeros(2 * CHUNK + 1)})}
     with pytest.raises(RuntimeError, match="chunk failed"):
         covar.io.write_report(doc, io.StringIO())
-    assert not other_threads()
 
 
-def test_a_closed_stdout_stops_the_workers(capsys, monkeypatch, sized_matrices, pools):
+def test_a_closed_stdout_stops_the_workers(monkeypatch, sized_matrices):
     class Closed(io.StringIO):
         def write(self, text):
             if len(text) > 30_000:  # the first chunk of samples
                 raise BrokenPipeError(32, "Broken pipe")
             return super().write(text)
 
-    use_cpus(monkeypatch, 2)
     monkeypatch.setattr(sys, "stdout", Closed())
     assert run_cli(["decompose", "--input", str(sized_matrices[2 * CHUNK + 1])]) == 2
-    assert pools == [2] and not other_threads()
-    # also while the error, and so write_report's frame, is still held
     doc = {"samples": covar.io.Columns({"x": np.zeros(2 * CHUNK + 1)})}
-    with pytest.raises(BrokenPipeError) as caught:
+    with pytest.raises(BrokenPipeError):
         covar.io.write_report(doc, Closed())
-    assert pools == [2, 2] and not other_threads() and caught.tb
 
 
-def test_workers_do_not_repeat_buffered_stdout(capsys, monkeypatch, sized_matrices):
-    # the report goes to a pipe, as from a shell, while the threads format
-    # its sections; stdout gets the serial run's bytes, each once
+def test_workers_do_not_repeat_buffered_stdout(capsys, sized_matrices):
+    # the report goes to a pipe, as from a shell; stdout gets the
+    # in-process run's bytes, each once
     argv = ["decompose", "--input", str(sized_matrices[2 * CHUNK + 1])]
-    script = (
-        "import os, sys\n"
-        "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "from covar.cli import run_cli\n"
-        "sys.exit(run_cli(sys.argv[1:]))\n"
-    )
-    proc = run_python("-c", script, *argv)
-    use_cpus(monkeypatch, 1)
+    proc = run_python("-m", "covar", *argv)
     code, out, _ = run(capsys, *argv)
     same = proc.stdout == out
     assert same and (proc.returncode, proc.stderr) == (0, "") and code == 0
 
 
 def test_summary_commands_never_import_multiprocessing(tmp_path, matrix_csv, labels_file, sized_matrices):
-    # compare and ece write kB reports; decompose, select and simulate
-    # format their multi-chunk text on threads, which need no processes
+    # every command formats its text in the calling thread, so none loads
+    # a pool or starts a thread
     script = (
-        "import os, sys\n"
-        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "import os, sys, threading\n"
         "from covar.cli import run_cli\n"
         "matrix, labels, big, out = sys.argv[1:]\n"
         "for cmd in ('ece', 'compare'):\n"
@@ -566,8 +494,9 @@ def test_summary_commands_never_import_multiprocessing(tmp_path, matrix_csv, lab
         "for cmd in ('decompose', 'select'):\n"
         "    assert run_cli([cmd, '--input', big]) == 0\n"
         f"assert run_cli(['simulate', '--n', '{2 * CHUNK + 1}', '--k', '6', '--out', out]) == 0\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
         "assert 'multiprocessing' not in sys.modules\n"
-        "assert 'concurrent.futures.thread' in sys.modules  # the parallel path ran\n"
+        "assert threading.active_count() == 1\n"
     )
     big = sized_matrices[2 * CHUNK + 1]
     proc = run_python("-c", script, str(matrix_csv), str(labels_file), str(big), str(tmp_path / "m.csv"))

@@ -102,8 +102,8 @@ def test_values_outside_the_scaled_range_and_non_finite_ones_take_the_fallback()
 
 
 def test_threads_write_what_one_thread_writes():
-    # report sections and CSV rows are formatted on a thread per CPU; four
-    # threads at once, each on its own arrays of several kernel passes
+    # callers may write reports or CSV matrices on threads of their own;
+    # four threads at once, each on its own arrays of several kernel passes
     rng = np.random.default_rng(16)
     tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
     edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300, np.inf, np.nan]

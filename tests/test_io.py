@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import other_threads, simplex_rows, use_cpus
+from conftest import simplex_rows
 from covar import io
 from covar.errors import ParseError, ValidationError
 from covar.io import (
@@ -200,52 +200,17 @@ def test_clean_text_files_never_reach_the_line_readers(tmp_path, monkeypatch):
 def test_csv_writer_matches_whole_text(tmp_path):
     # rows are written a chunk at a time; the file is the one-piece text
     n = 2 * io._CHUNK_ROWS + 1
-    batch = make_batch(np.random.default_rng(3).dirichlet(np.ones(3), size=n))
-    save_matrix(batch, tmp_path / "m.csv")
-    lines = ["c0,c1,c2"] + [",".join(format_float(x) for x in row) for row in batch.values]
-    assert (tmp_path / "m.csv").read_text() == "\n".join(lines) + "\n"
-
-
-def test_csv_writer_parallel_and_serial_bytes_match(tmp_path, monkeypatch, pools):
+    values = np.random.default_rng(3).dirichlet(np.ones(3), size=n)
     # the second chunk holds 0.0, -0.0 and 1.0, which %.17g alone writes
     # without their ".0"
-    n = 2 * io._CHUNK_ROWS + 1
-    values = np.random.default_rng(5).dirichlet(np.ones(3), size=n)
-    values[io._CHUNK_ROWS + 7] = [0.0, 1.0, -0.0]
-    batch = make_batch(values)
-    lines = ["c0,c1,c2"] + [",".join(map(format_float, row)) for row in batch.values]
-    want = "\n".join(lines) + "\n"
-    assert "\n0.0,1.0,-0.0\n" in want
-    texts = []
-    for cpus in (2, 1):
-        use_cpus(monkeypatch, cpus)
+    edges = values.copy()
+    edges[io._CHUNK_ROWS + 7] = [0.0, 1.0, -0.0]
+    for rows in (values, edges):
+        batch = make_batch(rows)
         save_matrix(batch, tmp_path / "m.csv")
-        assert not other_threads()
-        texts.append((tmp_path / "m.csv").read_text())
-    same = texts == [want, want]  # not asserted inline: a diff of MBs of text is slow
-    assert same and pools == [2]
-
-
-def _save_multi_chunk_matrix(path):
-    """Write a matrix of three chunks; the pools fixture's count in this process."""
-    import concurrent.futures
-
-    n = 2 * io._CHUNK_ROWS + 1
-    save_matrix(make_batch(np.random.default_rng(3).dirichlet(np.ones(3), size=n)), path)
-    return concurrent.futures.ThreadPoolExecutor.started
-
-
-def test_csv_writer_in_a_daemonic_process_formats_in_parallel(tmp_path, monkeypatch, pools):
-    import multiprocessing
-
-    # a multiprocessing.Pool worker is daemonic; its threads format the chunks
-    use_cpus(monkeypatch, 2)
-    with multiprocessing.get_context("fork").Pool(1) as worker:
-        started = worker.apply(_save_multi_chunk_matrix, (tmp_path / "daemon.csv",))
-    use_cpus(monkeypatch, 1)
-    _save_multi_chunk_matrix(tmp_path / "main.csv")
-    same = (tmp_path / "daemon.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
-    assert same and started == [2] and pools == []
+        lines = ["c0,c1,c2"] + [",".join(format_float(x) for x in row) for row in batch.values]
+        assert (tmp_path / "m.csv").read_text() == "\n".join(lines) + "\n"
+    assert "\n0.0,1.0,-0.0\n" in "\n".join(lines)
 
 
 # --- binary container -------------------------------------------------------------
