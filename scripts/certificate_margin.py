@@ -12,12 +12,7 @@ import argparse
 
 import numpy as np
 
-from covar import (
-    EpsilonPolicy,
-    ProbabilityBatch,
-    compute_stats,
-    decompose_sample,
-)
+from covar import EpsilonPolicy, ProbabilityBatch, decompose_sample
 
 
 def spiked_row(k: int, p: float, a: float) -> np.ndarray:
@@ -48,7 +43,7 @@ def main() -> None:
     for p in (0.5, 0.7, 0.9, 0.99):
         for a in (0.1, 0.3, 0.6, 0.9):
             row = spiked_row(args.k, p, a)
-            s = compute_stats(ProbabilityBatch.from_array(row[None, :]))[0]
+            s = ProbabilityBatch.from_array(row[None, :])[0]
             line = f"{p:5.2f} {s.rho:5.2f} {s.rcv:10.3e}"
             for pol in policies.values():
                 d = decompose_sample(s, pol)

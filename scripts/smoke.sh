@@ -1,0 +1,50 @@
+#!/usr/bin/env bash
+# Entry point smoke run: every subcommand of `python -m covar` on small
+# inputs, in a temporary directory, so nothing is written into the
+# checkout.  Usage, from any directory: bash scripts/smoke.sh
+#
+# pipefail makes a covar run that fails after writing its report fail the
+# script; the last step checks that a second run writes the same bytes.
+set -euo pipefail
+
+repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+export PYTHONPATH="$repo/src${PYTHONPATH:+:$PYTHONPATH}"
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+
+python -m covar grid --p-steps 2 --v-steps 2
+# the file name alone selects the matrix format; streamed reports parse as JSON
+json_ok='import json, sys; json.load(sys.stdin)'
+for m in m.csv m.bin; do
+  python -m covar simulate --n 50 --k 4 --out "$m" --labels-out y.txt > /dev/null
+  python -m covar decompose --input "$m" | python -c "$json_ok"
+  python -m covar select --input "$m" | python -c "$json_ok"
+  python -m covar compare --input "$m" --labels y.txt | python -c "$json_ok"
+  python -m covar ece --input "$m" --labels y.txt | python -c "$json_ok"
+done
+# np.loadtxt rejects 0.2_5, so this CSV is read by the line-by-line fallback
+printf 'c0,c1\n0.2_5,0.75\n' > fallback.csv
+python -m covar decompose --input fallback.csv | python -c "$json_ok"
+# at K = 300 the residual kernels run over many row blocks of a few rows each
+python -m covar simulate --n 3000 --k 300 --out wide.bin > /dev/null
+python -m covar decompose --input wide.bin | python -c "$json_ok"
+python -m covar decompose --input wide.bin --paper-literal | python -c "$json_ok"
+python -m covar select --input wide.bin | python -c "$json_ok"
+# 10,000 rows are three chunks, and a second run of the same commands must
+# write the same bytes; the fixed-eps and paper-literal runs take the
+# decomposition's other branches
+for d in run1 run2; do
+  mkdir "$d"
+  (
+    cd "$d"
+    python -m covar simulate --n 10000 --k 6 --out big.csv > simulate.json
+    python -m covar decompose --input big.csv > decompose.json
+    python -m covar decompose --input big.csv --epsilon 0.01 > decompose_fixed.json
+    python -m covar decompose --input big.csv --paper-literal > decompose_literal.json
+    python -m covar select --input big.csv > select.json
+  )
+done
+(cd run1 && sha256sum big.csv simulate.json decompose.json decompose_fixed.json \
+  decompose_literal.json select.json) > big.sha256
+(cd run2 && sha256sum -c ../big.sha256)

@@ -6,8 +6,8 @@ Each value becomes one row of a uint8 array: its text, padded with NUL
 bytes to the width of its kind.  The caller lays fields and literal text
 side by side and drops the NULs.
 
-Floats.  For a nonzero |x| in (1e-280, 1e280), ``y = |x| * 10**s`` with
-``s`` chosen so that ``10**16 <= y < 10**18`` is computed as a double-double:
+Floats.  For |x| in (1e-280, 1e280), ``y = |x| * 10**s`` with ``s``
+chosen so that ``10**16 <= y < 10**18`` is computed as a double-double:
 a Dekker product of |x| with the double nearest ``10**s``, plus |x| times
 the double nearest the rest of ``10**s``.  For ``0 <= s <= 22`` that rest
 is 0 and the product is exact; otherwise it is off by at most about
@@ -28,8 +28,8 @@ Every decision compares two integers, or a double with 0 or 0.5.  Where
 the product is exact, so are those doubles.  Where it is rounded, a value
 whose decision lies within ``_MARGIN`` = 2**-30 of its threshold, far
 above the rounding, goes to the caller's per-value function instead, as
-do nonzero values outside (1e-280, 1e280) and non-finite ones.  So no
-digit depends on the margin being tight.
+do values outside (1e-280, 1e280), zeros among them, and non-finite ones.
+So no digit depends on the margin being tight.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ FLOAT_WIDTH = 24  # a sign, then at most 23 characters: -1.2345678901234567e-308
 BOOL_WIDTH = 5
 
 _MARGIN = 2.0**-30
-_BLOCK = 1 << 13  # values per kernel pass: bounds the scratch one pass holds
 _TINY, _HUGE = 1e-280, 1e280
 _S_MIN, _S_MAX = -265, 300  # 10**s for every |x| in (_TINY, _HUGE)
 
@@ -208,17 +207,10 @@ _LAYOUTS = _layouts()
 def float_fields(values: np.ndarray, shortest: bool, fallback: Callable[[float], str]) -> np.ndarray:
     """Each value's text, ``repr``'s if ``shortest`` else ``%.17g`` with
     ``.0`` on integral values, as NUL-padded rows of FLOAT_WIDTH bytes.
-    Nonzero values the kernel leaves get ``fallback(float(value))``."""
+    Values the kernel leaves get ``fallback(float(value))``.  One pass
+    holds a few hundred bytes of scratch per value, so callers pass a
+    few thousand values at a time."""
     x = np.asarray(values, dtype=np.float64)
-    out = np.empty((len(x), FLOAT_WIDTH), dtype=np.uint8)
-    for start in range(0, len(x), _BLOCK):  # bounds the kernel's scratch arrays
-        block = x[start : start + _BLOCK]
-        out[start : start + len(block)] = _float_block(block, shortest, fallback)
-    return out
-
-
-def _float_block(x: np.ndarray, shortest: bool, fallback: Callable[[float], str]) -> np.ndarray:
-    """:func:`float_fields` of at most _BLOCK values."""
     a = np.abs(x)
     left = np.flatnonzero(~((a > _TINY) & (a < _HUGE)))
     a[left] = 1.0  # a stand-in, so the arithmetic stays in range
@@ -237,9 +229,6 @@ def _float_block(x: np.ndarray, shortest: bool, fallback: Callable[[float], str]
         at = np.flatnonzero(c >= limit)
         c[at] //= 10
         exp[at] += 1
-    zero = left[x[left] == 0]
-    c[zero] = 0
-    exp[zero] = 0
     src = np.empty((len(x), _SRC_WIDTH), dtype=np.uint8)
     words = src.view(np.uint32)
     groups = _groups(c)
@@ -254,7 +243,6 @@ def _float_block(x: np.ndarray, shortest: bool, fallback: Callable[[float], str]
         zeros = _ZEROS4[groups[at, j]]
         n[at] -= zeros
         at = at[zeros == 4]
-    n[zero] = 1
     # repr writes exponents -4..15 in fixed notation, %.17g -4..16
     fixed = (exp >= -4) & (exp <= (15 if shortest else 16))
     by_exp = 21 * 17 + (n - 1) * 2 + (np.abs(exp) >= 100)
@@ -262,8 +250,7 @@ def _float_block(x: np.ndarray, shortest: bool, fallback: Callable[[float], str]
     index = _LAYOUTS.take(layout, axis=0)
     index += np.arange(0, src.size, _SRC_WIDTH)[:, None]
     out = np.take(src.ravel(), index)
-    # the rest, one fallback call per distinct value (the non-finite ones repeat)
-    unsure[zero] = False
+    # the rest, one fallback call per distinct value (zeros and non-finite ones repeat)
     redo = np.flatnonzero(unsure)
     if len(redo):
         keys, inverse = np.unique(x[redo].view(np.uint64), return_inverse=True)

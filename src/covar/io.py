@@ -23,8 +23,8 @@ at a time as one byte image: each value's text fills a NUL-padded field
 between the keys and separators, and the NULs are then dropped.  numpy
 code in :mod:`covar._floattext` writes the digits: a float exactly as
 ``repr`` does in a report and as :func:`format_float` does in a CSV file,
-an integer or bool as JSON does.  The rare float it cannot decide exactly
-(and a non-finite one, null in a report) is formatted on its own.
+an integer or bool as JSON does.  The rare float it cannot decide exactly,
+a zero and a non-finite one (null in a report) are formatted on their own.
 
 Text matrices and labels are parsed by one ``np.loadtxt`` call.  Input it
 rejects is read again line by line, which accepts exactly what Python's
@@ -342,13 +342,9 @@ def _rows_text(columns: list[np.ndarray], literals: list[str], shortest: bool, s
     from . import _floattext
 
     parts = [col[start : start + _CHUNK_ROWS] for col in columns]
-    floats = [part for part in parts if part.dtype.kind == "f"]
-    if floats:  # one kernel call for all of them
-        fallback = _json_float if shortest else format_float
-        texts = _floattext.float_fields(np.concatenate(floats), shortest, fallback)
-        floats = iter(np.split(texts, len(floats)))
+    fallback = _json_float if shortest else format_float
     fields = [
-        next(floats) if part.dtype.kind == "f"
+        _floattext.float_fields(part, shortest, fallback) if part.dtype.kind == "f"
         else _floattext.bool_fields(part) if part.dtype.kind == "b"
         else _floattext.int_fields(part)
         for part in parts

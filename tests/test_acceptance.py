@@ -32,7 +32,7 @@ from covar.pcos import (
     spectral_assign,
 )
 from covar.simulator import CovarPolicy, SyntheticConfig, evaluate_policies, generate
-from covar.stats import CONF_CEILING, ProbabilityBatch, compute_stats
+from covar.stats import CONF_CEILING, ProbabilityBatch
 from oracles import brute_force_partition, trace_objective
 
 
@@ -55,7 +55,7 @@ def test_criterion_01_remainder_certification():
         for k in (3, 5, 10):
             for alpha in (0.6, 1.0, 3.0):
                 rows = rng.dirichlet(np.full(k, alpha), size=22_000)
-                for s in compute_stats(ProbabilityBatch.from_array(rows)):
+                for s in ProbabilityBatch.from_array(rows):
                     if s.degenerate or s.rho > 0.9:
                         continue
                     kept += 1
@@ -73,7 +73,7 @@ def test_criterion_01_remainder_certification():
 def test_criterion_02_worked_example_regression():
     with criterion(2, "worked-example regression p=[0.7, 0.2, 0.1], adaptive eps"):
         batch = ProbabilityBatch.from_array(np.array([[0.7, 0.2, 0.1]]))
-        s = compute_stats(batch)[0]
+        s = batch[0]
         d = decompose_sample(s, EpsilonPolicy.adaptive())
         assert s.rcv == pytest.approx(0.0025, abs=1e-12)
         assert d.g_coeff == pytest.approx(6.66667, abs=1e-5)
@@ -103,7 +103,7 @@ def test_criterion_03_batch_identity():
         cases.append(np.tile([0.7, 0.2, 0.1], (64, 1)))
         assert len(cases) == 1000
         for rows in cases:
-            sts = compute_stats(ProbabilityBatch.from_array(rows))
+            sts = ProbabilityBatch.from_array(rows)
             k = sts[0].n_classes
             gv = [
                 g_coefficient(s.safe_conf, k, pol) * (0.0 if s.degenerate else s.rcv)
@@ -114,7 +114,7 @@ def test_criterion_03_batch_identity():
             rhs = d.srcv + d.cov_gv
             assert abs(mean_gv - rhs) <= 1e-10 * max(abs(mean_gv), abs(rhs))
         d = decompose_batch(
-            compute_stats(ProbabilityBatch.from_array(cases[-1])), pol
+            ProbabilityBatch.from_array(cases[-1]), pol
         )
         assert d.cov_gv == 0.0
 
@@ -128,7 +128,7 @@ def test_criterion_04_lower_bound_and_middle_nonnegativity():
             n = int(rng.integers(2, 17))
             alpha = float(rng.uniform(0.5, 4.0))
             rows = rng.dirichlet(np.full(k, alpha), size=n)
-            sts = compute_stats(ProbabilityBatch.from_array(rows))
+            sts = ProbabilityBatch.from_array(rows)
             d = decompose_batch(sts, pol)
             assert d.batch_ce >= d.lower_bound - d.remainder_batch_bound - 1e-12
             for s in sts:
@@ -200,7 +200,7 @@ def test_criterion_07_pcos_contract():
 
         # beating the reliable mean in both dimensions forces weight 1 even
         # though the Gaussian factor would be < 1
-        sts = compute_stats(ProbabilityBatch.from_array(rows))
+        sts = ProbabilityBatch.from_array(rows)
         em = embed(sts)
         mean = em.phi.mean(axis=1) - 1.0  # every column beats this in dim 0...
         mean[1] = em.phi[1].min() - 1.0  # ...and in dim 1

@@ -23,7 +23,7 @@ from covar.decomposition import EpsilonPolicy, decompose_sample
 from covar.io import load_labels, load_matrix, matrix_digest, parse_report, save_matrix
 from covar.pcos import DEFAULT_LAMBDA
 from covar.simulator import CovarPolicy, SyntheticConfig, evaluate_policies, generate
-from covar.stats import ProbabilityBatch, compute_stats
+from covar.stats import ProbabilityBatch
 from oracles import report_rows
 
 
@@ -74,9 +74,7 @@ def test_decompose_report(capsys, matrix_csv):
     assert doc["input"]["digest"] == matrix_digest(load_matrix(matrix_csv))
     assert len(doc["samples"]) == 4
     s0 = doc["samples"][0]
-    d0 = decompose_sample(
-        compute_stats(load_matrix(matrix_csv))[0], EpsilonPolicy.adaptive()
-    )
+    d0 = decompose_sample(load_matrix(matrix_csv)[0], EpsilonPolicy.adaptive())
     assert s0["exact_ce"] == pytest.approx(d0.exact_ce, rel=1e-15)
     assert s0["g_coeff"] == pytest.approx(d0.g_coeff, rel=1e-15)
     assert s0["assumption_ok"] is True
@@ -436,7 +434,7 @@ def test_report_reaches_stdout_a_chunk_at_a_time(monkeypatch, sized_matrices):
     assert max(sizes) < sum(sizes) / 2  # the samples went out in three chunks
 
 
-def test_a_failing_chunk_fails_the_run_as_on_the_serial_path(capsys, monkeypatch, sized_matrices):
+def test_a_failing_chunk_exits_1_after_the_chunks_before_it(capsys, monkeypatch, sized_matrices):
     argv = ("decompose", "--input", str(sized_matrices[2 * CHUNK + 1]))
     whole = run(capsys, *argv)[1]
     real = covar.io._rows_text
@@ -457,7 +455,7 @@ def test_a_failing_chunk_fails_the_run_as_on_the_serial_path(capsys, monkeypatch
         covar.io.write_report(doc, io.StringIO())
 
 
-def test_a_closed_stdout_stops_the_workers(monkeypatch, sized_matrices):
+def test_a_closed_stdout_exits_2(monkeypatch, sized_matrices):
     class Closed(io.StringIO):
         def write(self, text):
             if len(text) > 30_000:  # the first chunk of samples
@@ -471,7 +469,7 @@ def test_a_closed_stdout_stops_the_workers(monkeypatch, sized_matrices):
         covar.io.write_report(doc, Closed())
 
 
-def test_workers_do_not_repeat_buffered_stdout(capsys, sized_matrices):
+def test_a_piped_report_matches_the_in_process_bytes(capsys, sized_matrices):
     # the report goes to a pipe, as from a shell; stdout gets the
     # in-process run's bytes, each once
     argv = ["decompose", "--input", str(sized_matrices[2 * CHUNK + 1])]
@@ -481,7 +479,7 @@ def test_workers_do_not_repeat_buffered_stdout(capsys, sized_matrices):
     assert same and (proc.returncode, proc.stderr) == (0, "") and code == 0
 
 
-def test_summary_commands_never_import_multiprocessing(tmp_path, matrix_csv, labels_file, sized_matrices):
+def test_no_command_starts_a_pool_or_a_thread(tmp_path, matrix_csv, labels_file, sized_matrices):
     # every command formats its text in the calling thread, so none loads
     # a pool or starts a thread
     script = (

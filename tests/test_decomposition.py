@@ -18,14 +18,14 @@ from covar.decomposition import (
     g_coefficient,
 )
 from covar.errors import DomainError, InfiniteCrossEntropyError
-from covar.stats import ProbabilityBatch, compute_stats
+from covar.stats import ProbabilityBatch
 from oracles import AssumptionViolation, IdealDistribution, exact_ce, taylor_log_expand
 
 ADAPTIVE = EpsilonPolicy.adaptive()
 
 
 def stats_of(row):
-    return compute_stats(batch_of(row))[0]
+    return batch_of(row)[0]
 
 
 # --- single-point expansion ------------------------------------------------
@@ -236,7 +236,7 @@ def test_uniform_residual_rows_meet_certificate():
     for k in range(3, 11):
         ps = [p for p in np.arange(0.35, 1.0, 0.05).round(2).tolist() + [0.99] if p > 1 / k]
         rows = np.array([[p] + [round((1 - p) / (k - 1), 12)] * (k - 1) for p in ps])
-        stats = compute_stats(ProbabilityBatch.from_array(rows))
+        stats = ProbabilityBatch.from_array(rows)
         perturbed += int((stats.rcv > 0.0).sum())
         total += len(stats)
         for policy in (ADAPTIVE, EpsilonPolicy.fixed(0.01)):
@@ -250,7 +250,7 @@ def test_uniform_residual_rows_meet_certificate():
 
 @given(simplex_rows(min_k=3, max_n=4))
 def test_middle_term_nonnegative(rows):
-    for s in compute_stats(ProbabilityBatch.from_array(rows)):
+    for s in ProbabilityBatch.from_array(rows):
         d = decompose_sample(s, ADAPTIVE)
         assert d.middle_term >= 0.0
 
@@ -263,7 +263,7 @@ def test_batch_hand_example():
     # g_bar = 6, v_bar = 0.00625, srcv = 0.0375,
     # cov = mean(g v) - srcv = 0.03 - 0.0375 = -0.0075.
     rows = np.array([[0.5, 0.35, 0.15], [0.75, 0.175, 0.075]])
-    bd = decompose_batch(compute_stats(ProbabilityBatch.from_array(rows)), ADAPTIVE)
+    bd = decompose_batch(ProbabilityBatch.from_array(rows), ADAPTIVE)
     assert bd.g_bar == pytest.approx(6.0, rel=1e-13)
     assert bd.v_bar == pytest.approx(0.00625, rel=1e-13)
     assert bd.srcv == pytest.approx(0.0375, rel=1e-13)
@@ -275,7 +275,7 @@ def test_batch_means_and_identity():
     rows = np.array(
         [[0.5, 0.35, 0.15], [0.75, 0.175, 0.075], [0.34, 0.33, 0.33]]
     )
-    stats = compute_stats(ProbabilityBatch.from_array(rows))
+    stats = ProbabilityBatch.from_array(rows)
     per = [decompose_sample(s, ADAPTIVE) for s in stats]
     bd = decompose_batch(stats, ADAPTIVE)
     n = len(per)
@@ -291,17 +291,17 @@ def test_batch_means_and_identity():
 def test_batch_lower_bound_certificate():
     rng = np.random.default_rng(7)
     raw = rng.dirichlet(np.full(5, 0.8), size=64)
-    stats = compute_stats(ProbabilityBatch.from_array(raw))
+    stats = ProbabilityBatch.from_array(raw)
     bd = decompose_batch(stats, ADAPTIVE)
     assert bd.batch_ce >= bd.lower_bound - bd.remainder_batch_bound - 1e-12
 
 
 def test_batch_accepts_degenerate_rows_and_rejects_empty():
     rows = np.array([[1.0, 0.0, 0.0], [0.5, 0.3, 0.2]])
-    bd = decompose_batch(compute_stats(ProbabilityBatch.from_array(rows)), ADAPTIVE)
+    bd = decompose_batch(ProbabilityBatch.from_array(rows), ADAPTIVE)
     assert math.isfinite(bd.batch_ce)
     assert bd.v_bar == pytest.approx(
-        compute_stats(ProbabilityBatch.from_array(rows))[1].rcv / 2, rel=1e-12
+        ProbabilityBatch.from_array(rows)[1].rcv / 2, rel=1e-12
     )
     with pytest.raises(DomainError):
         decompose_batch([], ADAPTIVE)
@@ -310,7 +310,7 @@ def test_batch_accepts_degenerate_rows_and_rejects_empty():
 def test_batch_names_sample_with_infinite_ce():
     rows = np.array([[0.5, 0.3, 0.2], [0.9, 0.1, 0.0]])
     with pytest.raises(InfiniteCrossEntropyError, match="sample 1"):
-        decompose_batch(compute_stats(ProbabilityBatch.from_array(rows)), ADAPTIVE)
+        decompose_batch(ProbabilityBatch.from_array(rows), ADAPTIVE)
 
 
 # --- vectorized kernel against the scalar reference ------------------------
@@ -343,7 +343,7 @@ def assert_kernel_matches_reference(rows, policy, paper_literal):
     of its bound, plus, in the paper-literal form, 8 ulp of the
     certified-minus-literal approx difference it carries.
     """
-    stats = compute_stats(ProbabilityBatch.from_array(rows))
+    stats = ProbabilityBatch.from_array(rows)
     cols = decompose_batch(stats, policy, paper_literal=paper_literal).samples
     for i, s in enumerate(stats):
         want = decompose_sample(s, policy, paper_literal=paper_literal)
@@ -403,18 +403,17 @@ def test_kernel_exact_ce_matches_oracle(rows):
     residual (infinite CE) are left out.  Tolerance: 8 ulp of the sum of
     the magnitudes of the CE's terms.
     """
-    stats = compute_stats(ProbabilityBatch.from_array(rows))
+    stats = ProbabilityBatch.from_array(rows)
     keep = ~stats.degenerate & (stats.residuals > 0.0).all(axis=1)
     if not keep.any():
         return
     batch = ProbabilityBatch.from_array(rows[keep])
-    stats = compute_stats(batch)
     k = batch.n_classes
     for policy in (ADAPTIVE, EpsilonPolicy.fixed(0.01)):
-        cols = decompose_batch(stats, policy).samples
+        cols = decompose_batch(batch, policy).samples
         for i, row in enumerate(batch.values):
             eps = float(cols.epsilon[i])
-            kp = int(stats.max_class[i])
+            kp = int(batch.max_class[i])
             want = exact_ce(row, IdealDistribution(eps, kp, k))
             logs = np.abs(np.log(row))
             scale = (1.0 - (k - 1) * eps) * logs[kp] + eps * (logs.sum() - logs[kp])
@@ -426,7 +425,7 @@ def test_kernel_errors_match_reference():
     # sample 1 is one-hot (clamped, no error); sample 2 is the first with
     # an exact-zero residual
     rows = np.array([[0.5, 0.3, 0.2], [1.0, 0.0, 0.0], [0.9, 0.1, 0.0], [0.8, 0.2, 0.0]])
-    stats = compute_stats(ProbabilityBatch.from_array(rows))
+    stats = ProbabilityBatch.from_array(rows)
     for policy in (ADAPTIVE, EpsilonPolicy.fixed(0.01)):
         decompose_sample(stats[0], policy)
         decompose_sample(stats[1], policy)
@@ -436,7 +435,7 @@ def test_kernel_errors_match_reference():
             decompose_batch(stats, policy)
         assert str(batch.value) == f"sample 2: {scalar.value}"
     # fixed eps at or above 1/(K-1)
-    ok = compute_stats(ProbabilityBatch.from_array(rows[:2]))
+    ok = ProbabilityBatch.from_array(rows[:2])
     for call in (lambda p: decompose_sample(ok[0], p), lambda p: decompose_batch(ok, p)):
         with pytest.raises(DomainError):
             call(EpsilonPolicy.fixed(0.5))
@@ -451,7 +450,7 @@ def test_kernel_errors_match_reference():
 
 
 def test_sample_columns_are_read_only_rows():
-    stats = compute_stats(ProbabilityBatch.from_array(EDGE_BATCHES[0]))
+    stats = ProbabilityBatch.from_array(EDGE_BATCHES[0])
     cols = decompose_batch(stats, ADAPTIVE).samples
     assert len(cols) == len(stats)
     iterated = list(cols)

@@ -12,15 +12,22 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from covar import _floattext
-from covar.io import Columns, format_float, serialize_report
+from covar.io import _CHUNK_ROWS, Columns, format_float, serialize_report
 from oracles import report_rows
 
 STYLES = {"repr": (True, repr), "format_float": (False, format_float)}
 
 
+def kernel_fields(values, shortest, fallback):
+    """The kernel's field of each value, from one call per io chunk."""
+    values = np.asarray(values, dtype=np.float64)
+    chunks = [values[i : i + _CHUNK_ROWS] for i in range(0, len(values), _CHUNK_ROWS)]
+    return np.concatenate([_floattext.float_fields(chunk, shortest, fallback) for chunk in chunks])
+
+
 def kernel_text(values, shortest, fallback):
     """The kernel's text of each value, one per line."""
-    fields = _floattext.float_fields(values, shortest, fallback)
+    fields = kernel_fields(values, shortest, fallback)
     lines = np.column_stack([fields, np.full(len(fields), ord("\n"), dtype=np.uint8)])
     return lines.tobytes().translate(None, b"\0").decode("ascii")
 
@@ -44,7 +51,7 @@ def fallbacks(values, shortest):
         seen.append(x)
         return repr(x) if shortest else format_float(x)
 
-    _floattext.float_fields(np.asarray(values, dtype=np.float64), shortest, fallback)
+    kernel_fields(values, shortest, fallback)
     return seen
 
 
@@ -89,28 +96,28 @@ def test_the_kernel_decides_short_decimals_and_uniform_values_itself():
     k = np.arange(1, 5000)
     uniform = np.random.default_rng(11).random(100_000)
     for shortest in (True, False):
-        assert fallbacks(np.concatenate([k / 8, k / 1000, uniform, [0.0, -0.0]]), shortest) == []
+        assert fallbacks(np.concatenate([k / 8, k / 1000, uniform]), shortest) == []
 
 
 def test_values_outside_the_scaled_range_and_non_finite_ones_take_the_fallback():
-    values = [5e-324, 1e-300, 1e300, float("inf"), float("nan"), 0.5, 1e300]
+    values = [5e-324, 0.0, 1e-300, 1e300, float("inf"), -0.0, float("nan"), 0.5, 1e300, 0.0]
     for shortest in (True, False):
         seen = fallbacks(values, shortest)  # once per distinct value
-        assert sorted(map(repr, seen)) == ["1e+300", "1e-300", "5e-324", "inf", "nan"]
+        assert sorted(map(repr, seen)) == ["-0.0", "0.0", "1e+300", "1e-300", "5e-324", "inf", "nan"]
     text = kernel_text(np.array([np.nan, np.inf, -np.inf, 2.5]), True, lambda x: "null")
     assert text == "null\nnull\nnull\n2.5\n"
 
 
 def test_threads_write_what_one_thread_writes():
     # callers may write reports or CSV matrices on threads of their own;
-    # four threads at once, each on its own arrays of several kernel passes
+    # four threads at once, each on its own io-sized arrays
     rng = np.random.default_rng(16)
     tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
     edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300, np.inf, np.nan]
     mixed = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), edges])
     jobs = []
     for _ in range(8):
-        bits = rng.integers(0, 2**64, 2 * _floattext._BLOCK, dtype=np.uint64).view(np.float64)
+        bits = rng.integers(0, 2**64, _CHUNK_ROWS - len(mixed), dtype=np.uint64).view(np.float64)
         values = rng.permutation(np.concatenate([bits[np.isfinite(bits)], mixed]))
         jobs += [(values, shortest, fallback) for shortest, fallback in STYLES.values()]
     want = [_floattext.float_fields(*job) for job in jobs]

@@ -22,7 +22,7 @@ from covar.pcos import (
     select_reliable_cluster,
     spectral_assign,
 )
-from covar.stats import ProbabilityBatch, compute_stats
+from covar.stats import ProbabilityBatch
 from oracles import brute_force_partition, enumerate_bipartitions, trace_objective
 
 E1E1E2 = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -41,7 +41,7 @@ def phi_strategy(max_n=12):
 
 
 def test_embed_theory_reference_column():
-    s = compute_stats(batch_of([[0.7, 0.2, 0.1]] * 2))
+    s = batch_of([[0.7, 0.2, 0.1]] * 2)
     em = embed(s, kind="theory")
     np.testing.assert_allclose(
         em.phi[:, 0], [math.log(0.7), -20.0 / 3.0 * 0.0025], rtol=1e-12
@@ -50,22 +50,22 @@ def test_embed_theory_reference_column():
 
 
 def test_embed_raw_reference_column():
-    s = compute_stats(batch_of([[0.7, 0.2, 0.1]] * 2))
+    s = batch_of([[0.7, 0.2, 0.1]] * 2)
     em = embed(s, kind="raw")
     np.testing.assert_allclose(em.phi[:, 0], [0.7, 0.0025], rtol=1e-12)
 
 
 def test_embed_needs_two_samples_and_known_kind():
-    s = compute_stats(batch_of([0.7, 0.2, 0.1]))
+    s = batch_of([0.7, 0.2, 0.1])
     with pytest.raises(DomainError):
         embed(s, kind="theory")
     with pytest.raises(DomainError):
-        embed(compute_stats(batch_of([[0.7, 0.2, 0.1]] * 2)), kind="zscore")
+        embed(batch_of([[0.7, 0.2, 0.1]] * 2), kind="zscore")
 
 
 def test_embed_handles_one_hot_rows():
     rows = np.array([[1.0, 0.0, 0.0], [0.6, 0.25, 0.15]])
-    em = embed(compute_stats(ProbabilityBatch.from_array(rows)))
+    em = embed(ProbabilityBatch.from_array(rows))
     assert np.all(np.isfinite(em.phi))
 
 
@@ -342,7 +342,7 @@ def test_pcos_internal_consistency():
     rows = rng.dirichlet(np.full(5, 0.7), size=30)
     batch = ProbabilityBatch.from_array(rows)
     out = pcos(batch)
-    em = embed(compute_stats(batch))
+    em = embed(batch)
     sp = spectral_assign(em)
     np.testing.assert_array_equal(out.assignment, sp.assignment)
     cs = cluster_statistics(em, sp.assignment)

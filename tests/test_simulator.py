@@ -15,7 +15,7 @@ from covar.simulator import (
     evaluate_policies,
     generate,
 )
-from covar.stats import ProbabilityBatch, compute_stats
+from covar.stats import ProbabilityBatch
 
 CANONICAL = dict(
     base_accuracy=0.75, overconfidence_temp=0.25, residual_mode="bimodal"
@@ -130,13 +130,12 @@ def test_bimodal_errors_confident_and_high_rcv():
     for seed in range(5):
         cfg = SyntheticConfig.uniform_priors(10_000, 6, seed=seed, **CANONICAL)
         batch, y = generate(cfg)
-        stats = compute_stats(batch)
         correct = batch.values.argmax(axis=1) == y
         conf = batch.values.max(axis=1)
         # every wrong prediction clears a fixed tau = 0.95 screen
         assert conf[~correct].min() >= 0.955 - 1e-12
         assert conf[~correct].max() <= 0.995 + 1e-12
-        rcv = np.array([s.rcv for s in stats])
+        rcv = np.array([s.rcv for s in batch])
         assert rcv[~correct].mean() > 2.0 * rcv[correct].mean()
 
 

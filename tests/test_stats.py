@@ -32,7 +32,7 @@ ROW5 = [0.4, 0.2, 0.2, 0.1, 0.1]
 
 
 def test_reference_row_three_classes():
-    s = compute_stats(batch_of(ROW3))[0]
+    s = batch_of(ROW3)[0]
     assert s.max_class == 0
     assert s.max_conf == 0.7
     assert s.residual_mean == pytest.approx(0.15, abs=1e-15)
@@ -46,7 +46,7 @@ def test_reference_row_three_classes():
 
 
 def test_reference_row_five_classes():
-    s = compute_stats(batch_of(ROW5))[0]
+    s = batch_of(ROW5)[0]
     assert (s.max_class, s.n_classes) == (0, 5)
     assert s.residual_mean == pytest.approx(0.15, abs=1e-15)
     assert s.rcv == pytest.approx(0.0025, abs=1e-15)
@@ -54,15 +54,15 @@ def test_reference_row_five_classes():
 
 
 def test_argmax_tie_takes_lowest_index():
-    s = compute_stats(batch_of([0.4, 0.4, 0.15, 0.05]))[0]
+    s = batch_of([0.4, 0.4, 0.15, 0.05])[0]
     assert s.max_class == 0
-    s = compute_stats(batch_of([0.1, 0.45, 0.45]))[0]
+    s = batch_of([0.1, 0.45, 0.45])[0]
     assert s.max_class == 1
 
 
 def test_uniform_row_is_all_zero_deviation():
     k = 7
-    s = compute_stats(batch_of(np.full(k, 1.0 / k)))[0]
+    s = batch_of(np.full(k, 1.0 / k))[0]
     assert s.max_class == 0
     assert s.rcv == 0.0
     assert s.rho == 0.0
@@ -71,7 +71,7 @@ def test_uniform_row_is_all_zero_deviation():
 
 
 def test_one_hot_row_degenerate():
-    s = compute_stats(batch_of([0.0, 1.0, 0.0]))[0]
+    s = batch_of([0.0, 1.0, 0.0])[0]
     assert s.degenerate
     assert s.max_class == 1
     assert s.rho == 0.0  # residual mean is 0; ratio reported as 0
@@ -80,11 +80,11 @@ def test_one_hot_row_degenerate():
 
 def test_near_one_hot_below_tolerance_not_degenerate():
     row = [1.0 - 1e-9, 5e-10, 5e-10]
-    s = compute_stats(batch_of(row))[0]
+    s = batch_of(row)[0]
     assert not s.degenerate
     # still clamped for 1-p denominators, which only kick in above the ceiling
     assert s.safe_conf == CONF_CEILING
-    mild = compute_stats(batch_of([1.0 - 1e-5, 5e-6, 5e-6]))[0]
+    mild = batch_of([1.0 - 1e-5, 5e-6, 5e-6])[0]
     assert mild.safe_conf == 1.0 - 1e-5
 
 
@@ -169,7 +169,7 @@ SCALAR_FIELDS = ("max_class", "max_conf", "residual_mean", "rcv", "rho", "degene
 @given(simplex_rows())
 def test_stats_invariants(rows):
     batch = ProbabilityBatch.from_array(rows)
-    stats = compute_stats(batch)
+    stats = batch
     assert len(stats) == batch.n_samples
     for name in SCALAR_FIELDS + ("residuals", "deviations"):
         assert not getattr(stats, name).flags.writeable
@@ -200,8 +200,8 @@ def test_stats_permutation_consistency(rows, seed):
     """Permuting the classes permutes the argmax and preserves v and rho."""
     rng = np.random.default_rng(seed)
     perm = rng.permutation(rows.shape[1])
-    base = compute_stats(ProbabilityBatch.from_array(rows))
-    permuted = compute_stats(ProbabilityBatch.from_array(rows[:, perm]))
+    base = ProbabilityBatch.from_array(rows)
+    permuted = ProbabilityBatch.from_array(rows[:, perm])
     for s0, s1 in zip(base, permuted):
         if np.isclose(rows[0], rows[0].max()).sum() > 1:
             continue  # ties can legitimately move under permutation
