@@ -26,6 +26,15 @@ done
 # np.loadtxt rejects 0.2_5, so this CSV is read by the line-by-line fallback
 printf 'c0,c1\n0.2_5,0.75\n' > fallback.csv
 python -m covar decompose --input fallback.csv | python -c "$json_ok"
+# a CSV matrix is opened more than once, so a named pipe must exit 2 with
+# nothing on stdout, at once: timeout's 124 or an exit 0 fails the script
+mkfifo fifo.csv
+code=0
+timeout 10 python -m covar decompose --input fifo.csv > fifo.out || code=$?
+if [ "$code" -ne 2 ] || [ -s fifo.out ]; then
+  echo "decompose --input fifo.csv exited $code, expected 2 and empty stdout" >&2
+  exit 1
+fi
 # at K = 300 the residual kernels run over many row blocks of a few rows each
 python -m covar simulate --n 3000 --k 300 --out wide.bin > /dev/null
 python -m covar decompose --input wide.bin | python -c "$json_ok"
@@ -33,7 +42,7 @@ python -m covar decompose --input wide.bin --paper-literal | python -c "$json_ok
 python -m covar select --input wide.bin | python -c "$json_ok"
 # 10,000 rows are three chunks, and a second run of the same commands must
 # write the same bytes; the fixed-eps and paper-literal runs take the
-# decomposition's other branches
+# decomposition's other branches, and grid's 100 x 100 surface is 10,000 rows
 for d in run1 run2; do
   mkdir "$d"
   (
@@ -43,8 +52,9 @@ for d in run1 run2; do
     python -m covar decompose --input big.csv --epsilon 0.01 > decompose_fixed.json
     python -m covar decompose --input big.csv --paper-literal > decompose_literal.json
     python -m covar select --input big.csv > select.json
+    python -m covar grid --p-steps 100 --v-steps 100 > grid.csv
   )
 done
 (cd run1 && sha256sum big.csv simulate.json decompose.json decompose_fixed.json \
-  decompose_literal.json select.json) > big.sha256
+  decompose_literal.json select.json grid.csv) > big.sha256
 (cd run2 && sha256sum -c ../big.sha256)

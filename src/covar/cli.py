@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .decomposition import decompose_sample  # noqa: F401  (perfbench/tracing.py
 from .errors import CovarError
 from .io import (
     Columns,
-    format_float,
+    _csv_chunks,
     load_labels,
     load_matrix,
     matrix_digest,
@@ -313,7 +314,7 @@ def _cmd_ece(args) -> dict:
     )
 
 
-def _cmd_grid(args) -> str:
+def _cmd_grid(args) -> Iterator[str]:
     if not args.p_min <= args.p_max:
         raise CovarError("need p-min <= p-max")
     if not 0.0 <= args.v_min <= args.v_max:
@@ -323,17 +324,16 @@ def _cmd_grid(args) -> str:
     if not math.isfinite(args.v_max):
         raise CovarError(f"need a finite --v-max, got {args.v_max}")
     ps = np.linspace(args.p_min, args.p_max, args.p_steps)
-    vs = np.linspace(args.v_min, args.v_max, args.v_steps).tolist()
+    vs = np.linspace(args.v_min, args.v_max, args.v_steps)
     # g_coefficient also bounds p to [1/K, CONF_CEILING]
     gs = g_coefficient(ps, args.k, EpsilonPolicy.adaptive())
-    lines = ["p,v,ce"]
-    for p, g in zip(ps.tolist(), gs.tolist()):
-        for v in vs:
-            ce = -math.log(p) + g * v  # Python floats overflow to inf silently
-            if not math.isfinite(ce):
-                raise CovarError(f"--v-max {args.v_max} makes ce overflow at p = {p}")
-            lines.append(f"{format_float(p)},{format_float(v)},{format_float(ce)}")
-    return "\n".join(lines) + "\n"
+    logs = np.array([math.log(p) for p in ps.tolist()])  # np.log may differ in the last bit
+    with np.errstate(over="ignore"):  # an overflow is named below
+        ce = -logs[:, None] + gs[:, None] * vs  # one row per p
+    bad = np.flatnonzero(~np.isfinite(ce).all(axis=1))
+    if bad.size:
+        raise CovarError(f"--v-max {args.v_max} makes ce overflow at p = {float(ps[bad[0]])}")
+    return _csv_chunks(["p", "v", "ce"], [np.repeat(ps, len(vs)), np.tile(vs, len(ps)), ce.ravel()])
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +416,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         if isinstance(out, dict):
             write_report(out, sys.stdout)
         else:
-            sys.stdout.write(out)
+            sys.stdout.writelines(out)
     except SystemExit as exc:  # argparse already printed usage or help
         return int(exc.code or 0)
     except (CovarError, OSError, MemoryError) as exc:

@@ -18,17 +18,17 @@ writes the text between placeholders and, in place of each, its section
 as a list of one object per row, a few thousand rows at a time, in the
 same text the encoder would give a list of per-row dicts.
 
-The rows of a section, like those of a CSV matrix, are written a chunk
-at a time as one byte image: each value's text fills a NUL-padded field
-between the keys and separators, and the NULs are then dropped.  numpy
-code in :mod:`covar._floattext` writes the digits: a float exactly as
-``repr`` does in a report and as :func:`format_float` does in a CSV file,
-an integer or bool as JSON does.  The rare float it cannot decide exactly,
-a zero and a non-finite one (null in a report) are formatted on their own.
+One generator writes the rows of a report section, a CSV matrix and the
+``grid`` command's CSV, 4,096 rows at a time, each chunk as one byte
+image: each value's text fills a NUL-padded field between the separators,
+and the NULs are then dropped.  :mod:`covar._floattext` writes the digits:
+a float exactly as ``repr`` does in a report and as :func:`format_float`
+does in CSV, an integer or bool as JSON does; the rare float it cannot
+decide, a zero and a non-finite one (null in a report) are done one by one.
 
-Text matrices and labels are parsed by one ``np.loadtxt`` call.  Input it
-rejects is read again line by line, which accepts exactly what Python's
-``float()`` and ``int()`` accept and names the file line of an error.
+A text matrix or labels file, which must be a regular file, is parsed by
+one ``np.loadtxt`` call; input it rejects is read again line by line, which
+accepts what ``float()`` and ``int()`` accept and names an error's line.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import stat
 import struct
 import warnings
 from pathlib import Path
@@ -83,6 +85,8 @@ def format_float(x: float) -> str:
 
 def _lines(path: Path) -> Iterator[tuple[int, str]]:
     """Number and stripped text of each line of a UTF-8 text file, streamed."""
+    if not stat.S_ISREG(os.stat(path).st_mode):  # a pipe could not be opened again
+        raise ParseError(f"{path}: not a regular file; text inputs are read more than once")
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii():  # undecodable bytes became lone surrogates
@@ -208,13 +212,8 @@ def load_matrix(path: str | Path) -> ProbabilityBatch:
 def save_matrix(batch: ProbabilityBatch, path: str | Path) -> None:
     p = Path(path)
     if _is_csv(p):
-        k = batch.n_classes
-        columns = list(batch.values.T)
-        literals = ["", *[","] * (k - 1), "\n"]
         with open(p, "w", encoding="utf-8") as fh:
-            fh.write(",".join(f"c{i}" for i in range(k)) + "\n")
-            for start in range(0, batch.n_samples, _CHUNK_ROWS):
-                fh.write(_rows_text(columns, literals, False, start))
+            fh.writelines(_csv_chunks([f"c{i}" for i in range(batch.n_classes)], list(batch.values.T)))
     else:
         p.write_bytes(b"".join(_encoding(batch)))
 
@@ -318,11 +317,9 @@ class Columns:
         keys = [json.dumps(name) for name in self.columns]
         # each row starts with the comma that separates it from the one before
         literals = [",{" + keys[0] + ":", *[f",{key}:" for key in keys[1:]], "}"]
-        columns = list(self.columns.values())
-        yield "["
-        for start in range(0, self.n_rows, _CHUNK_ROWS):
-            text = _rows_text(columns, literals, True, start)
-            yield text[1:] if start == 0 else text
+        chunks = _text_chunks(list(self.columns.values()), literals, True)
+        yield "[" + next(chunks, ",")[1:]
+        yield from chunks
         yield "]"
 
 
@@ -330,35 +327,42 @@ def _json_float(x: float) -> str:
     return repr(x) if math.isfinite(x) else "null"
 
 
-def _rows_text(columns: list[np.ndarray], literals: list[str], shortest: bool, start: int) -> str:
-    """Rows ``start`` to ``start + _CHUNK_ROWS`` of the columns as text.
+def _text_chunks(columns: list[np.ndarray], literals: list[str], shortest: bool) -> Iterator[str]:
+    """The rows of the columns as text, ``_CHUNK_ROWS`` rows at a time.
 
     A row is ``literals[0]``, its value in column 0, ``literals[1]``, ...,
     ``literals[-1]``.  Floats are written as ``repr`` writes them (null if
     not finite) if ``shortest``, else as :func:`format_float` writes them;
     integers and bools as JSON writes them.  Each value is formatted into a
-    NUL-padded field of the row's byte image, and the NULs are then dropped.
+    NUL-padded field of the chunk's byte image, and the NULs are then dropped.
     """
     from . import _floattext
 
-    parts = [col[start : start + _CHUNK_ROWS] for col in columns]
     fallback = _json_float if shortest else format_float
-    fields = [
-        _floattext.float_fields(part, shortest, fallback) if part.dtype.kind == "f"
-        else _floattext.bool_fields(part) if part.dtype.kind == "b"
-        else _floattext.int_fields(part)
-        for part in parts
-    ]
     heads = [np.frombuffer(literal.encode("ascii"), dtype=np.uint8) for literal in literals]
-    image = np.empty((len(parts[0]), sum(map(len, heads)) + sum(f.shape[1] for f in fields)), np.uint8)
-    at = 0
-    for head, field in itertools.zip_longest(heads, fields):
-        image[:, at : at + len(head)] = head
-        at += len(head)
-        if field is not None:
-            image[:, at : at + field.shape[1]] = field
-            at += field.shape[1]
-    return image.tobytes().translate(None, b"\0").decode("ascii")
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        parts = [col[start : start + _CHUNK_ROWS] for col in columns]
+        fields = [
+            _floattext.float_fields(part, shortest, fallback) if part.dtype.kind == "f"
+            else _floattext.bool_fields(part) if part.dtype.kind == "b"
+            else _floattext.int_fields(part)
+            for part in parts
+        ]
+        image = np.empty((len(parts[0]), sum(map(len, heads)) + sum(f.shape[1] for f in fields)), np.uint8)
+        at = 0
+        for head, field in itertools.zip_longest(heads, fields):
+            image[:, at : at + len(head)] = head
+            at += len(head)
+            if field is not None:
+                image[:, at : at + field.shape[1]] = field
+                at += field.shape[1]
+        yield image.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _csv_chunks(names: list[str], columns: list[np.ndarray]) -> Iterator[str]:
+    """CSV text: the header line of ``names``, then the columns' rows."""
+    yield ",".join(names) + "\n"
+    yield from _text_chunks(columns, ["", *[","] * (len(names) - 1), "\n"], False)
 
 
 def _check_keys(obj: Any) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import itertools
+import json
 import math
 import os
 import struct
@@ -19,20 +20,20 @@ import covar
 from covar import cli
 from covar.baseline import ThresholdPolicy, ece as compute_ece
 from covar.cli import run_cli
-from covar.decomposition import EpsilonPolicy, decompose_sample
-from covar.io import load_labels, load_matrix, matrix_digest, parse_report, save_matrix
+from covar.decomposition import EpsilonPolicy, decompose_sample, g_coefficient
+from covar.io import format_float, load_labels, load_matrix, matrix_digest, parse_report, save_matrix
 from covar.pcos import DEFAULT_LAMBDA
 from covar.simulator import CovarPolicy, SyntheticConfig, evaluate_policies, generate
 from covar.stats import ProbabilityBatch
 from oracles import report_rows
 
 
-def run_python(*args, timeout=None) -> subprocess.CompletedProcess:
+def run_python(*args, timeout=None, stdin=None) -> subprocess.CompletedProcess:
     """Run ``python *args`` in a child that imports the same covar as this process."""
     path = [str(Path(covar.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout, stdin=stdin
     )
 
 
@@ -322,6 +323,40 @@ def test_grid_bad_ranges(capsys):
     for v_max in ("inf", "1e308"):
         code, out, err = run(capsys, "grid", "--v-max", v_max, "--p-steps", "2", "--v-steps", "2")
         assert (code, out) == (2, "") and "--v-max" in err and "Warning" not in err
+    # every (p, v) is checked before the first row is written, and the first p that overflows is named
+    code, out, err = run(capsys, "grid", "--v-max", "1e305", "--p-steps", "3", "--v-steps", "3")
+    assert (code, out, err) == (2, "", "error: --v-max 1e+305 makes ce overflow at p = 0.999\n")
+
+
+def grid_reference(k=21, p_min=0.5, p_max=0.999, v_min=0.0, v_max=0.01, p_steps=50, v_steps=50):
+    """grid's CSV text from one math.log, one product and sum and three
+    format_float calls per (p, v): the per-value loop it replaced."""
+    ps = np.linspace(p_min, p_max, p_steps)
+    vs = np.linspace(v_min, v_max, v_steps).tolist()
+    gs = g_coefficient(ps, k, EpsilonPolicy.adaptive())
+    lines = ["p,v,ce"]
+    for p, g in zip(ps.tolist(), gs.tolist()):
+        for v in vs:
+            lines.append(",".join(map(format_float, (p, v, -math.log(p) + g * v))))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {},
+        {"p_steps": 90, "v_steps": 100},  # 9,000 rows: three chunks
+        {"k": 3, "p_min": 0.34, "p_max": 0.999999, "p_steps": 300, "v_steps": 40, "v_max": 1e5},
+        {"p_steps": 0},
+        {"v_steps": 0},
+    ],
+)
+def test_grid_matches_the_per_value_reference(capsys, options):
+    argv = [f"--{name.replace('_', '-')}={value}" for name, value in options.items()]
+    code, out, err = run(capsys, "grid", *argv)
+    assert (code, err) == (0, "")
+    assert out == grid_reference(**options)
+    assert out.count("\n") - 1 == options.get("p_steps", 50) * options.get("v_steps", 50)
 
 
 def test_near_uniform_row_decomposes_and_selects(capsys, tmp_path):
@@ -437,20 +472,20 @@ def test_report_reaches_stdout_a_chunk_at_a_time(monkeypatch, sized_matrices):
 def test_a_failing_chunk_exits_1_after_the_chunks_before_it(capsys, monkeypatch, sized_matrices):
     argv = ("decompose", "--input", str(sized_matrices[2 * CHUNK + 1]))
     whole = run(capsys, *argv)[1]
-    real = covar.io._rows_text
+    real = covar._floattext.int_fields
 
-    def failing(columns, literals, shortest, start):
-        if start == 2 * CHUNK:  # the last chunk of 2 * CHUNK + 1 rows
+    def failing(values):
+        if len(values) and values[0] == 2 * CHUNK:  # the index column of the last chunk
             raise RuntimeError("chunk failed")
-        return real(columns, literals, shortest, start)
+        return real(values)
 
-    monkeypatch.setattr(covar.io, "_rows_text", failing)
+    monkeypatch.setattr(covar._floattext, "int_fields", failing)
     code, out, err = run(capsys, *argv)
     assert (code, err) == (1, "internal error: RuntimeError: chunk failed\n")
     # stdout holds the report up to the failing chunk's first row
     assert out == whole[: whole.index(f',{{"index":{2 * CHUNK},')]
     # write_report raises what the chunk raised
-    doc = {"samples": covar.io.Columns({"x": np.zeros(2 * CHUNK + 1)})}
+    doc = {"samples": covar.io.Columns({"x": np.arange(2 * CHUNK + 1)})}
     with pytest.raises(RuntimeError, match="chunk failed"):
         covar.io.write_report(doc, io.StringIO())
 
@@ -501,6 +536,44 @@ def test_no_command_starts_a_pool_or_a_thread(tmp_path, matrix_csv, labels_file,
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("flag", ["--input", "--labels"])
+def test_a_text_input_from_a_named_pipe_exits_2(tmp_path, matrix_csv, labels_file, flag):
+    # a CSV matrix or labels file is opened more than once, which a pipe
+    # cannot serve; nothing writes to this one, so a reader that opened it
+    # would wait until the timeout
+    fifo = tmp_path / ("fifo.csv" if flag == "--input" else "fifo.txt")
+    os.mkfifo(fifo)
+    files = {"--input": str(matrix_csv), "--labels": str(labels_file), flag: str(fifo)}
+    proc = run_python("-m", "covar", "ece", *itertools.chain(*files.items()), timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {fifo}: not a regular file; text inputs are read more than once\n"
+
+
+@pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="needs /dev/stdin")
+def test_stdin_serves_a_piped_binary_matrix_and_a_redirected_labels_file(
+    capsys, tmp_path, matrix_csv, labels_file
+):
+    matrix = tmp_path / "m.bin"
+    save_matrix(load_matrix(matrix_csv), matrix)
+    read, write = os.pipe()
+    os.write(write, matrix.read_bytes())  # far less than a pipe holds
+    os.close(write)
+    with os.fdopen(read, "rb") as stdin:  # one read_bytes reads a binary matrix
+        piped = run_python("-m", "covar", "select", "--input", "/dev/stdin", stdin=stdin, timeout=60)
+    with open(labels_file, "rb") as stdin:  # a regular file, whichever way it is opened
+        redirected = run_python(
+            "-m", "covar", "ece", "--input", str(matrix), "--labels", "/dev/stdin", stdin=stdin, timeout=60
+        )
+    for proc, (path, *argv) in [
+        (piped, (matrix, "select", "--input", str(matrix))),
+        (redirected, (labels_file, "ece", "--input", str(matrix), "--labels", str(labels_file))),
+    ]:
+        code, out, _ = run(capsys, *argv)
+        assert (proc.returncode, proc.stderr, code) == (0, "", 0)
+        assert proc.stdout == out.replace(json.dumps(str(path)), '"/dev/stdin"')
+
+
 def test_only_commands_that_write_sections_load_the_text_kernel(matrix_csv, labels_file):
     # importing covar._floattext builds its tables, a few ms of start-up
     script = (
@@ -509,7 +582,6 @@ def test_only_commands_that_write_sections_load_the_text_kernel(matrix_csv, labe
         "loaded = lambda: 'covar._floattext' in sys.modules\n"
         "assert not loaded()\n"
         "assert run_cli(['compare', '--input', sys.argv[1], '--labels', sys.argv[2]]) == 0\n"
-        "assert run_cli(['grid', '--p-steps', '2', '--v-steps', '2']) == 0\n"
         "assert not loaded()\n"
         "assert run_cli(['ece', '--input', sys.argv[1], '--labels', sys.argv[2]]) == 0\n"
         "assert loaded()  # its bins are a section\n"
