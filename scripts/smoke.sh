@@ -23,9 +23,26 @@ for m in m.csv m.bin; do
   python -m covar compare --input "$m" --labels y.txt | python -c "$json_ok"
   python -m covar ece --input "$m" --labels y.txt | python -c "$json_ok"
 done
-# np.loadtxt rejects 0.2_5, so this CSV is read by the line-by-line fallback
+# np.loadtxt rejects 0.2_5 and 0_1, which float() and int() accept, so this
+# CSV and these labels are read by the line-by-line fallback
 printf 'c0,c1\n0.2_5,0.75\n' > fallback.csv
+printf 'label\n0_1\n' > fallback.txt
 python -m covar decompose --input fallback.csv | python -c "$json_ok"
+python -m covar ece --input fallback.csv --labels fallback.txt | python -c "$json_ok"
+# grid checks ce at the grid's own largest v: with one v step that is
+# --v-min, so a huge --v-max is fine; with two it overflows, and the run must
+# exit 2 with nothing on stdout
+lines="$(python -m covar grid --v-max 1e308 --p-steps 2 --v-steps 1 | wc -l)"
+if [ "$lines" -ne 3 ]; then
+  echo "grid --v-max 1e308 --v-steps 1 wrote $lines lines, expected 3" >&2
+  exit 1
+fi
+code=0
+python -m covar grid --v-max 1e308 --p-steps 2 --v-steps 2 > overflow.csv || code=$?
+if [ "$code" -ne 2 ] || [ -s overflow.csv ]; then
+  echo "grid --v-max 1e308 --v-steps 2 exited $code, expected 2 and empty stdout" >&2
+  exit 1
+fi
 # a CSV matrix is opened more than once, so a named pipe must exit 2 with
 # nothing on stdout, at once: timeout's 124 or an exit 0 fails the script
 mkfifo fifo.csv

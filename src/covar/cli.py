@@ -25,6 +25,7 @@ from .decomposition import EpsilonPolicy, decompose_batch, g_coefficient
 from .decomposition import decompose_sample  # noqa: F401  (perfbench/tracing.py wraps it by name)
 from .errors import CovarError
 from .io import (
+    _CHUNK_ROWS,
     Columns,
     _csv_chunks,
     load_labels,
@@ -328,12 +329,15 @@ def _cmd_grid(args) -> Iterator[str]:
     # g_coefficient also bounds p to [1/K, CONF_CEILING]
     gs = g_coefficient(ps, args.k, EpsilonPolicy.adaptive())
     logs = np.array([math.log(p) for p in ps.tolist()])  # np.log may differ in the last bit
+    # g > 0 and v >= 0, so each p's ce is largest at the grid's largest v
     with np.errstate(over="ignore"):  # an overflow is named below
-        ce = -logs[:, None] + gs[:, None] * vs  # one row per p
-    bad = np.flatnonzero(~np.isfinite(ce).all(axis=1))
+        bad = np.flatnonzero(~np.isfinite(-logs + gs * vs.max(initial=0.0)))
     if bad.size:
         raise CovarError(f"--v-max {args.v_max} makes ce overflow at p = {float(ps[bad[0]])}")
-    return _csv_chunks(["p", "v", "ce"], [np.repeat(ps, len(vs)), np.tile(vs, len(ps)), ce.ravel()])
+    rows = len(ps) * len(vs)
+    # the surface one chunk at a time, p-major: row r is (ps[r // len(vs)], vs[r % len(vs)])
+    ij = (np.divmod(np.arange(at, min(at + _CHUNK_ROWS, rows)), len(vs)) for at in range(0, rows, _CHUNK_ROWS))
+    return _csv_chunks(["p", "v", "ce"], ([ps[i], vs[j], -logs[i] + gs[i] * vs[j]] for i, j in ij))
 
 
 # ---------------------------------------------------------------------------

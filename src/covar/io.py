@@ -21,14 +21,19 @@ same text the encoder would give a list of per-row dicts.
 One generator writes the rows of a report section, a CSV matrix and the
 ``grid`` command's CSV, 4,096 rows at a time, each chunk as one byte
 image: each value's text fills a NUL-padded field between the separators,
-and the NULs are then dropped.  :mod:`covar._floattext` writes the digits:
-a float exactly as ``repr`` does in a report and as :func:`format_float`
-does in CSV, an integer or bool as JSON does; the rare float it cannot
-decide, a zero and a non-finite one (null in a report) are done one by one.
+and the NULs are then dropped.  It takes the columns in blocks of rows, so
+``grid`` builds its surface a chunk at a time.  :mod:`covar._floattext`
+writes the digits: a float exactly as ``repr`` does in a report and as
+:func:`format_float` does in CSV, an integer or bool as JSON does; the rare
+float it cannot decide, a zero and a non-finite one (null in a report) are
+done one by one.
 
-A text matrix or labels file, which must be a regular file, is parsed by
-one ``np.loadtxt`` call; input it rejects is read again line by line, which
-accepts what ``float()`` and ``int()`` accept and names an error's line.
+A text matrix or labels file, which must be a regular file, goes through
+one reader: line 1 is checked as the header (a CSV matrix must have one, a
+labels file may), then one ``np.loadtxt`` call parses the file; input it
+rejects is read again line by line, which accepts what ``float()`` and
+``int()`` accept and names an error's line as ``file:line``, with the path
+spelled as :class:`~pathlib.Path` spells it.
 """
 
 from __future__ import annotations
@@ -97,20 +102,6 @@ def _lines(path: Path) -> Iterator[tuple[int, str]]:
             yield lineno, line.strip()
 
 
-def _csv_width(path: Path, lines: Iterator[tuple[int, str]]) -> int:
-    """Check the header line ``c0,...,c{K-1}`` of a CSV matrix; returns K."""
-    _, header = next(lines, (1, ""))
-    if not header:
-        raise ParseError(f"{path}: empty file")
-    cols = header.split(",")
-    expected = [f"c{i}" for i in range(len(cols))]
-    if cols != expected:
-        raise ParseError(
-            f"{path}: header {header!r} does not match c0,...,c{len(cols) - 1}"
-        )
-    return len(cols)
-
-
 def _loadtxt(path: Path, dtype, skiprows: int) -> np.ndarray | None:
     """The comma-separated body of a text file as a 2-d array, or None
     where ``np.loadtxt`` rejects it or warns."""
@@ -125,41 +116,60 @@ def _loadtxt(path: Path, dtype, skiprows: int) -> np.ndarray | None:
         return None
 
 
-def _read_csv(path: Path) -> np.ndarray:
-    """The values of a CSV matrix."""
+def _data_lines(path: Path, skip: int) -> Iterator[tuple[int, str]]:
+    """Number and stripped text of each non-blank line after the first ``skip``."""
+    return ((lineno, text) for lineno, text in _lines(path) if text and lineno > skip)
+
+
+def _read_text(path: Path, dtype, header, parse, empty: str, valid=None) -> np.ndarray:
+    """The rows of a comma-separated text input as a 2-d array.
+
+    ``header(path, text)`` checks line 1 (None in an empty file) and returns
+    the lines to skip, 0 or 1, and the fields per row.  Where ``np.loadtxt``
+    rejects the rest, gives no rows or rows of another width, or ``valid``
+    rejects its values, ``parse(text, width)`` reads each non-blank line
+    instead, and its ValueError is raised naming the line.
+    """
     lines = _lines(path)
-    k = _csv_width(path, lines)
+    first = next(lines, (1, None))[1]
     lines.close()
-    values = _loadtxt(path, np.float64, skiprows=1)
-    if values is None or values.shape[1] != k or not len(values):
-        return _read_csv_lines(path)
-    return values
-
-
-def _read_csv_lines(path: Path) -> np.ndarray:
-    """The values of a CSV matrix, read line by line; an error names its line."""
-    lines = _lines(path)
-    k = _csv_width(path, lines)
+    skip, width = header(path, first)
+    values = _loadtxt(path, dtype, skip)
+    if values is not None and values.shape[1] == width and len(values):
+        if valid is None or valid(values):
+            return values
     rows = []
-    for lineno, line in lines:
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != k:
-            raise ParseError(f"{path}:{lineno}: expected {k} fields, got {len(parts)}")
+    for lineno, text in _data_lines(path, skip):
         try:
-            rows.append([float(p) for p in parts])
+            rows.append(parse(text, width))
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
     if not rows:
-        raise ParseError(f"{path}: no data rows")
-    return np.array(rows, dtype=np.float64)
+        raise ParseError(f"{path}: {empty}")
+    return np.array(rows, dtype=dtype)
 
 
-def _csv_row_line(path: Path, row: int) -> int:
-    """The file line of data row ``row`` of a CSV matrix that parsed."""
-    data_lines = (lineno for lineno, line in _lines(path) if line)
-    return next(itertools.islice(data_lines, row + 1, None))  # the header is line 1
+def _csv_header(path: Path, text: str | None) -> tuple[int, int]:
+    """Check line 1 of a CSV matrix, the header ``c0,...,c{K-1}``; returns (1, K)."""
+    if text is None:
+        raise ParseError(f"{path}: empty file")
+    cols = text.split(",")
+    if cols != [f"c{i}" for i in range(len(cols))]:
+        expected = f"c0,...,c{len(cols) - 1}" if text else "c0,...,c{K-1}"
+        raise ParseError(f"{path}:1: header {text!r} does not match {expected}")
+    return 1, len(cols)
+
+
+def _csv_fields(text: str, k: int) -> list[float]:
+    parts = text.split(",")
+    if len(parts) != k:
+        raise ValueError(f"expected {k} fields, got {len(parts)}")
+    return [float(part) for part in parts]
+
+
+def _read_csv(path: Path) -> np.ndarray:
+    """The values of a CSV matrix."""
+    return _read_text(path, np.float64, _csv_header, _csv_fields, "no data rows")
 
 
 def _read_binary(path: Path) -> np.ndarray:
@@ -205,7 +215,8 @@ def load_matrix(path: str | Path) -> ProbabilityBatch:
         return ProbabilityBatch.from_array(values)
     except ValidationError as exc:
         if csv and exc.row is not None:
-            raise ValidationError(f"{p}:{_csv_row_line(p, exc.row)}: {exc.reason}") from exc
+            lineno, _ = next(itertools.islice(_data_lines(p, 1), exc.row, None))
+            raise ValidationError(f"{p}:{lineno}: {exc.reason}") from exc
         raise ValidationError(f"{p}: {exc}") from exc
 
 
@@ -213,7 +224,7 @@ def save_matrix(batch: ProbabilityBatch, path: str | Path) -> None:
     p = Path(path)
     if _is_csv(p):
         with open(p, "w", encoding="utf-8") as fh:
-            fh.writelines(_csv_chunks([f"c{i}" for i in range(batch.n_classes)], list(batch.values.T)))
+            fh.writelines(_csv_chunks([f"c{i}" for i in range(batch.n_classes)], [list(batch.values.T)]))
     else:
         p.write_bytes(b"".join(_encoding(batch)))
 
@@ -233,38 +244,21 @@ def matrix_digest(batch: ProbabilityBatch) -> str:
 def load_labels(path: str | Path, n_classes: int) -> np.ndarray:
     """One integer label in [0, n_classes) per line; an optional leading
     'label' header."""
-    p = Path(path)
-    lines = _lines(p)
-    _, first = next(lines, (1, ""))
-    lines.close()
-    labels = _loadtxt(p, np.int64, skiprows=int(first.lower() == "label"))
-    if (
-        labels is None
-        or labels.shape[1] != 1
-        or not len(labels)
-        or labels.min() < 0
-        or labels.max() >= n_classes
-    ):
-        return _read_labels_lines(path, n_classes)
-    return labels[:, 0]
 
-
-def _read_labels_lines(path: str | Path, n_classes: int) -> np.ndarray:
-    """:func:`load_labels` line by line; an error names its line."""
-    out = []
-    for lineno, text in _lines(Path(path)):
-        if not text or (lineno == 1 and text.lower() == "label"):
-            continue
+    def parse(text: str, _: int) -> list[int]:
         try:
             label = int(text)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: not an integer label: {text!r}") from exc
+        except ValueError:
+            raise ValueError(f"not an integer label: {text!r}") from None
         if not 0 <= label < n_classes:
-            raise ParseError(f"{path}:{lineno}: label {text} outside [0, {n_classes})")
-        out.append(label)
-    if not out:
-        raise ParseError(f"{path}: no labels")
-    return np.array(out, dtype=np.int64)
+            raise ValueError(f"label {text} outside [0, {n_classes})")
+        return [label]
+
+    labels = _read_text(
+        Path(path), np.int64, lambda _, text: (int((text or "").lower() == "label"), 1), parse,
+        "no labels", lambda values: values.min() >= 0 and values.max() < n_classes,
+    )
+    return labels[:, 0]
 
 
 def save_labels(labels: np.ndarray, path: str | Path) -> None:
@@ -317,7 +311,7 @@ class Columns:
         keys = [json.dumps(name) for name in self.columns]
         # each row starts with the comma that separates it from the one before
         literals = [",{" + keys[0] + ":", *[f",{key}:" for key in keys[1:]], "}"]
-        chunks = _text_chunks(list(self.columns.values()), literals, True)
+        chunks = _text_chunks([list(self.columns.values())], literals, True)
         yield "[" + next(chunks, ",")[1:]
         yield from chunks
         yield "]"
@@ -327,8 +321,8 @@ def _json_float(x: float) -> str:
     return repr(x) if math.isfinite(x) else "null"
 
 
-def _text_chunks(columns: list[np.ndarray], literals: list[str], shortest: bool) -> Iterator[str]:
-    """The rows of the columns as text, ``_CHUNK_ROWS`` rows at a time.
+def _text_chunks(blocks: Iterable[list[np.ndarray]], literals: list[str], shortest: bool) -> Iterator[str]:
+    """The rows of blocks of columns as text, at most ``_CHUNK_ROWS`` rows at a time.
 
     A row is ``literals[0]``, its value in column 0, ``literals[1]``, ...,
     ``literals[-1]``.  Floats are written as ``repr`` writes them (null if
@@ -340,29 +334,30 @@ def _text_chunks(columns: list[np.ndarray], literals: list[str], shortest: bool)
 
     fallback = _json_float if shortest else format_float
     heads = [np.frombuffer(literal.encode("ascii"), dtype=np.uint8) for literal in literals]
-    for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        parts = [col[start : start + _CHUNK_ROWS] for col in columns]
-        fields = [
-            _floattext.float_fields(part, shortest, fallback) if part.dtype.kind == "f"
-            else _floattext.bool_fields(part) if part.dtype.kind == "b"
-            else _floattext.int_fields(part)
-            for part in parts
-        ]
-        image = np.empty((len(parts[0]), sum(map(len, heads)) + sum(f.shape[1] for f in fields)), np.uint8)
-        at = 0
-        for head, field in itertools.zip_longest(heads, fields):
-            image[:, at : at + len(head)] = head
-            at += len(head)
-            if field is not None:
-                image[:, at : at + field.shape[1]] = field
-                at += field.shape[1]
-        yield image.tobytes().translate(None, b"\0").decode("ascii")
+    for block in blocks:
+        for start in range(0, len(block[0]), _CHUNK_ROWS):
+            parts = [col[start : start + _CHUNK_ROWS] for col in block]
+            fields = [
+                _floattext.float_fields(part, shortest, fallback) if part.dtype.kind == "f"
+                else _floattext.bool_fields(part) if part.dtype.kind == "b"
+                else _floattext.int_fields(part)
+                for part in parts
+            ]
+            image = np.empty((len(parts[0]), sum(map(len, heads)) + sum(f.shape[1] for f in fields)), np.uint8)
+            at = 0
+            for head, field in itertools.zip_longest(heads, fields):
+                image[:, at : at + len(head)] = head
+                at += len(head)
+                if field is not None:
+                    image[:, at : at + field.shape[1]] = field
+                    at += field.shape[1]
+            yield image.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _csv_chunks(names: list[str], columns: list[np.ndarray]) -> Iterator[str]:
-    """CSV text: the header line of ``names``, then the columns' rows."""
+def _csv_chunks(names: list[str], blocks: Iterable[list[np.ndarray]]) -> Iterator[str]:
+    """CSV text: the header line of ``names``, then the rows of each block of columns."""
     yield ",".join(names) + "\n"
-    yield from _text_chunks(columns, ["", *[","] * (len(names) - 1), "\n"], False)
+    yield from _text_chunks(blocks, ["", *[","] * (len(names) - 1), "\n"], False)
 
 
 def _check_keys(obj: Any) -> None:

@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +350,8 @@ def grid_reference(k=21, p_min=0.5, p_max=0.999, v_min=0.0, v_max=0.01, p_steps=
         {"k": 3, "p_min": 0.34, "p_max": 0.999999, "p_steps": 300, "v_steps": 40, "v_max": 1e5},
         {"p_steps": 0},
         {"v_steps": 0},
+        {"v_max": 1e308, "p_steps": 2, "v_steps": 1},  # the grid's only v is --v-min, so ce is finite
+        {"p_steps": 3, "v_steps": 10000},  # one p's row is longer than a chunk
     ],
 )
 def test_grid_matches_the_per_value_reference(capsys, options):
@@ -357,6 +360,23 @@ def test_grid_matches_the_per_value_reference(capsys, options):
     assert (code, err) == (0, "")
     assert out == grid_reference(**options)
     assert out.count("\n") - 1 == options.get("p_steps", 50) * options.get("v_steps", 50)
+
+
+def test_grid_holds_one_chunk_of_the_surface_at_a_time(monkeypatch):
+    class Null(io.TextIOBase):
+        def write(self, text):
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Null())
+    argv = ["grid", "--p-steps", "300", "--v-steps", "1000"]
+    assert run_cli(argv) == 0  # the first run loads modules and the text kernel's tables
+    tracemalloc.start()
+    try:
+        assert run_cli(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6  # bytes; the 300,000-row surface's three float64 columns alone are 7.2 MB
 
 
 def test_near_uniform_row_decomposes_and_selects(capsys, tmp_path):

@@ -83,6 +83,10 @@ def test_csv_header_and_shape_errors(tmp_path):
     p.write_text("c0,c1,c2\n")
     with pytest.raises(ParseError, match="no data"):
         load_matrix(p)
+    # the header is line 1: a file that is not empty but starts with a blank line names it
+    p.write_text("\nc0,c1,c2\n0.5,0.3,0.2\n")
+    with pytest.raises(ParseError, match=r"m\.csv:1: header '' does not match c0,\.\.\.,c\{K-1\}$"):
+        load_matrix(p)
 
 
 def test_csv_skips_blank_lines(tmp_path):
@@ -116,6 +120,13 @@ def _parsed(read, *args):
         return str(exc)
 
 
+def _line_path(read, *args):
+    """What a reader makes of a file when ``np.loadtxt`` rejects every input."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io, "_loadtxt", lambda *_: None)
+        return _parsed(read, *args)
+
+
 def _assert_same(got, want):
     if isinstance(want, str):
         assert got == want
@@ -127,7 +138,7 @@ def _assert_same(got, want):
 def _assert_csv_readers_agree(path, k):
     """np.loadtxt gives the line reader's values wherever it accepts a
     file; the reader falls back to the line reader everywhere else."""
-    slow = _parsed(io._read_csv_lines, path)
+    slow = _line_path(io._read_csv, path)
     fast = io._loadtxt(path, np.float64, skiprows=1)
     if fast is not None and fast.shape[1] == k and len(fast):
         _assert_same(fast, slow)
@@ -188,8 +199,7 @@ def test_clean_text_files_never_reach_the_line_readers(tmp_path, monkeypatch):
     def line_reader(*args):
         raise AssertionError("line reader called")
 
-    monkeypatch.setattr(io, "_read_csv_lines", line_reader)
-    monkeypatch.setattr(io, "_read_labels_lines", line_reader)
+    monkeypatch.setattr(io, "_data_lines", line_reader)
     batch = make_batch(np.random.default_rng(2).dirichlet(np.ones(5), size=40))
     save_matrix(batch, tmp_path / "m.csv")
     assert load_matrix(tmp_path / "m.csv").values.tobytes() == batch.values.tobytes()
@@ -331,6 +341,20 @@ def test_load_labels_errors(tmp_path):
         load_labels(p, 2)
 
 
+def test_reader_messages_spell_the_path_as_pathlib_does(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cases = {
+        b"0\nx\n": "y.txt:2: not an integer label: 'x'",
+        b"0\n5\n": "y.txt:2: label 5 outside [0, 2)",
+        b"\n": "y.txt: no labels",
+        b"0\n\xff\n": "y.txt:2: not UTF-8 text",
+    }
+    for content, message in cases.items():
+        (tmp_path / "y.txt").write_bytes(content)
+        for read in (_parsed, _line_path):
+            assert read(load_labels, "./y.txt", 2) == message
+
+
 LABEL_TEXTS = {
     "underscore": b"3_0\n",
     "padding": b" 3 \n",
@@ -344,6 +368,8 @@ LABEL_TEXTS = {
     "negative": b"0\n-1\n",
     "two fields": b"1,2\n",
     "whitespace line": b"1\n \n2\n",
+    "header after a blank line 1": b"\nlabel\n3\n",  # the header rule reads line 1 only
+    "header twice": b"label\nlabel\n",
 }
 
 
@@ -351,7 +377,7 @@ LABEL_TEXTS = {
 def test_labels_fast_reader_matches_line_reader(tmp_path, text):
     path = tmp_path / "y.txt"
     path.write_bytes(text)
-    slow = _parsed(io._read_labels_lines, path, 5)
+    slow = _line_path(load_labels, path, 5)
     fast = io._loadtxt(path, np.int64, skiprows=int(text[:5].lower() == b"label"))
     if fast is not None and fast.shape[1] == 1 and len(fast) and 0 <= fast.min() <= fast.max() < 5:
         _assert_same(fast[:, 0], slow)
