@@ -52,6 +52,14 @@ if [ "$code" -ne 2 ] || [ -s fifo.out ]; then
   echo "decompose --input fifo.csv exited $code, expected 2 and empty stdout" >&2
   exit 1
 fi
+# --epsilon is checked before the matrix is read, so a bad value exits 2
+# with nothing on stdout even when the input does not exist
+code=0
+python -m covar decompose --input nope.csv --epsilon tiny > eps.out || code=$?
+if [ "$code" -ne 2 ] || [ -s eps.out ]; then
+  echo "decompose --input nope.csv --epsilon tiny exited $code, expected 2 and empty stdout" >&2
+  exit 1
+fi
 # at K = 300 the residual kernels run over many row blocks of a few rows each
 python -m covar simulate --n 3000 --k 300 --out wide.bin > /dev/null
 python -m covar decompose --input wide.bin | python -c "$json_ok"

@@ -84,7 +84,6 @@ def _retention_list(retention: dict) -> list:
 
 
 def _cmd_decompose(args) -> dict:
-    batch = load_matrix(args.input)
     if args.epsilon == "adaptive":
         policy = EpsilonPolicy.adaptive()
         eps_echo: object = "adaptive"
@@ -97,6 +96,7 @@ def _cmd_decompose(args) -> dict:
             ) from None
         policy = EpsilonPolicy.fixed(value)
         eps_echo = value
+    batch = load_matrix(args.input)
     agg = decompose_batch(batch, policy, paper_literal=args.paper_literal)
     per = agg.samples
     samples = Columns(

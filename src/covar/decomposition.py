@@ -410,7 +410,7 @@ def decompose_batch(
     cov = math.fsum(memoryview((g - g_bar) * (v - v_bar))) / n
     # The lower bound uses the adaptive g whatever the policy, and -log p
     # at the confidence the exact CE used; the clamp only enters 1 - p.
-    g_adaptive = g_coefficient(safe_conf, k, EpsilonPolicy.adaptive())
+    g_adaptive = g if policy.value is None else g_coefficient(safe_conf, k, EpsilonPolicy.adaptive())
     lower = math.fsum(memoryview(-log_p + g_adaptive * v)) / n
 
     return BatchDecomposition(

@@ -327,8 +327,8 @@ def _text_chunks(blocks: Iterable[list[np.ndarray]], literals: list[str], shorte
     A row is ``literals[0]``, its value in column 0, ``literals[1]``, ...,
     ``literals[-1]``.  Floats are written as ``repr`` writes them (null if
     not finite) if ``shortest``, else as :func:`format_float` writes them;
-    integers and bools as JSON writes them.  Each value is formatted into a
-    NUL-padded field of the chunk's byte image, and the NULs are then dropped.
+    integers and bools as JSON writes them.  A chunk's byte image is one
+    concatenation of literals and NUL-padded value fields, with the NULs dropped.
     """
     from . import _floattext
 
@@ -343,14 +343,8 @@ def _text_chunks(blocks: Iterable[list[np.ndarray]], literals: list[str], shorte
                 else _floattext.int_fields(part)
                 for part in parts
             ]
-            image = np.empty((len(parts[0]), sum(map(len, heads)) + sum(f.shape[1] for f in fields)), np.uint8)
-            at = 0
-            for head, field in itertools.zip_longest(heads, fields):
-                image[:, at : at + len(head)] = head
-                at += len(head)
-                if field is not None:
-                    image[:, at : at + field.shape[1]] = field
-                    at += field.shape[1]
+            lits = [np.broadcast_to(head, (len(parts[0]), len(head))) for head in heads]
+            image = np.hstack([lits[0], *itertools.chain.from_iterable(zip(fields, lits[1:]))])
             yield image.tobytes().translate(None, b"\0").decode("ascii")
 
 

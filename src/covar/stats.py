@@ -271,8 +271,7 @@ class ProbabilityBatch(RowColumns[PredictionStats]):
             dev.max(axis=1, out=max_abs_dev[rows])
         rcv /= k - 1
         degenerate = max_conf >= 1.0 - ONE_HOT_TOL
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rho = np.where(mu > 0.0, max_abs_dev / np.where(mu > 0.0, mu, 1.0), 0.0)
+        rho = np.divide(max_abs_dev, mu, out=np.zeros(n), where=mu > 0.0)
         return cls(vals, max_class, max_conf, mu, residuals, rcv, rho, degenerate)
 
 

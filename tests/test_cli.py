@@ -96,12 +96,13 @@ def test_decompose_fixed_epsilon_and_paper_literal(capsys, matrix_csv):
     assert all(s["epsilon"] == 0.05 for s in doc["samples"])
 
 
-def test_decompose_bad_epsilon_is_usage_error(capsys, matrix_csv):
-    code, _, err = run(
-        capsys, "decompose", "--input", str(matrix_csv), "--epsilon", "tiny"
-    )
-    assert code == 2
-    assert "epsilon" in err
+def test_decompose_bad_epsilon_is_usage_error(capsys, matrix_csv, tmp_path):
+    # --epsilon is checked before the matrix is read, so a missing input
+    # still gets the flag's message
+    for path in (matrix_csv, tmp_path / "nope.csv"):
+        code, out, err = run(capsys, "decompose", "--input", str(path), "--epsilon", "tiny")
+        assert (code, out) == (2, "")
+        assert "--epsilon" in err and "Errno" not in err
 
 
 def test_decompose_handles_sub_ulp_residuals(capsys, tmp_path):
