@@ -88,14 +88,13 @@ def _cmd_decompose(args) -> dict:
         policy = EpsilonPolicy.adaptive()
         eps_echo: object = "adaptive"
     else:
-        try:
-            value = float(args.epsilon)
+        try:  # DomainError, the policy's own check, is a ValueError too
+            policy = EpsilonPolicy.fixed(float(args.epsilon))
         except ValueError:
             raise CovarError(
-                f"--epsilon must be 'adaptive' or a number, got {args.epsilon!r}"
+                f"--epsilon must be 'adaptive' or a positive number, got {args.epsilon!r}"
             ) from None
-        policy = EpsilonPolicy.fixed(value)
-        eps_echo = value
+        eps_echo = policy.value
     batch = load_matrix(args.input)
     agg = decompose_batch(batch, policy, paper_literal=args.paper_literal)
     per = agg.samples

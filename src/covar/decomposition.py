@@ -298,9 +298,8 @@ def decompose_sample(
         rho = stats.rho
 
     eps = policy.resolve(mu, k)
-    # 1 - p denominators always use the clamped confidence; a row can sit
-    # above CONF_CEILING without being degenerate.
-    g = g_coefficient(min(p, CONF_CEILING), k, policy)
+    # safe_conf, since a row can sit above CONF_CEILING without being degenerate
+    g = g_coefficient(stats.safe_conf, k, policy)
 
     # Exact CE straight from the row's raw residual probabilities.
     log_p = math.log(p)
@@ -309,7 +308,7 @@ def decompose_sample(
             raise InfiniteCrossEntropyError(_ZERO_RESIDUAL)
         resid_logs = math.fsum(math.log(r) for r in residuals)
     else:
-        resid_logs = (k - 1) * math.log(mu) if mu > 0.0 else 0.0
+        resid_logs = (k - 1) * math.log(mu)
 
     # C only where rho < 1 and v > 0: a float division by zero raises here.
     if v == 0.0:
@@ -360,10 +359,9 @@ def decompose_batch(
 
     # One pass over the (N, K-1) residual block, in row blocks: the row
     # sums of log p(k) for the exact CE, and of the remainder's tails
-    # log1p(t) - t + t^2/2 with t = (p(k) - mu_row) / mu, where mu_row is
-    # the row's own residual mean and mu the (canonicalized) one above.
+    # log1p(t) - t + t^2/2 with t = (p(k) - mu) / mu.  A degenerate row's
+    # tails are never read, since its v is 0.
     residuals = batch_stats.residuals
-    row_mu = batch_stats.residual_mean
     log_sums = np.empty(n)
     tail_sums = np.empty(n)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -372,10 +370,10 @@ def decompose_batch(
             mu_col = mu[rows, None]
             np.log(r, out=sq)
             sq.sum(axis=1, out=log_sums[rows])
-            np.subtract(r, row_mu[rows, None], out=t)
+            np.subtract(r, mu_col, out=t)
             np.divide(t, mu_col, out=t)
             # log(r / mu) where t <= -0.5, since t saturates at -1 once
-            # r < ulp(mu_row); log1p(t) above
+            # r < ulp(mu); log1p(t) above
             np.divide(r, mu_col, out=tails)
             np.log(tails, out=tails)
             np.log1p(t, out=sq)

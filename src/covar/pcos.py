@@ -137,11 +137,12 @@ def _as_phi(phi) -> np.ndarray:
 def _eig2_sym(a: float, b: float, c: float):
     """Eigendecomposition of [[a, b], [b, c]], eigenvalues descending.
 
-    Returns (lam1, lam2, w1, w2, isotropic).  On an exact tie (only
-    possible when b = 0 and a = c) the two axis eigenvectors are ordered
-    lexicographically and the isotropy flag is set.
+    Returns (lam1, lam2, w1, w2, isotropic).  An off-diagonal whose square
+    underflows (|b| < 1.6e-162, below the precision of a + c >= 0.25) is
+    negligible, so the axes are the eigenvectors; on a tie there (a = c)
+    they are ordered lexicographically and the isotropy flag is set.
     """
-    if b == 0.0:
+    if b * b == 0.0:
         if a == c:
             return a, c, np.array([0.0, 1.0]), np.array([1.0, 0.0]), True
         if a > c:
@@ -172,7 +173,8 @@ def spectral_assign(phi) -> SpectralAssignment:
     sample n goes to argmax_i |u_i(n)| with ties to cluster 0.  A
     rank-deficient Phi (sigma_2 = 0) yields the single cluster 0 and sets
     the flag.  Scale and singular-vector sign changes cannot move any
-    sample across clusters.
+    sample across clusters (a singular value past float64 reads inf).  It
+    fails only on bad input: a wrong shape, N < 2, non-finite or all zero.
     """
     arr = _as_phi(phi)
     if arr.shape[1] < 2:
@@ -180,10 +182,10 @@ def spectral_assign(phi) -> SpectralAssignment:
     if not np.all(np.isfinite(arr)):
         raise DomainError("phi contains non-finite entries")
     # The gram squares the entries, so bring max|phi| into [0.5, 1) first
-    # to keep it clear of overflow and underflow.  Dividing by a power of
+    # to keep it clear of overflow and underflow.  Scaling by a power of
     # two is exact, so the assignment and scores do not depend on scale.
-    scale = math.ldexp(1.0, math.frexp(float(np.abs(arr).max()))[1])
-    arr = arr / scale
+    e = math.frexp(float(np.abs(arr).max()))[1]
+    arr = np.ldexp(arr, -e)
     a = float(arr[0] @ arr[0])
     b = float(arr[0] @ arr[1])
     c = float(arr[1] @ arr[1])
@@ -191,7 +193,7 @@ def spectral_assign(phi) -> SpectralAssignment:
     if trace == 0.0:
         raise DomainError("all-zero embedding has no principal directions")
     lam1, lam2, w1, w2, isotropic = _eig2_sym(a, b, c)
-    sigma = np.array([math.sqrt(max(lam1, 0.0)), math.sqrt(max(lam2, 0.0))])
+    sigma = np.sqrt([lam1, lam2])  # _eig2_sym gives eigenvalues >= 0
     n = arr.shape[1]
     scores = np.zeros((2, n))
     scores[0] = (w1 @ arr) / sigma[0]
@@ -201,15 +203,15 @@ def spectral_assign(phi) -> SpectralAssignment:
     else:
         scores[1] = (w2 @ arr) / sigma[1]
         assignment = (np.abs(scores[1]) > np.abs(scores[0])).astype(np.int64)
-    if not np.all(np.isfinite(scores)):
-        raise DomainError("phi is too ill-conditioned for finite spectral scores")
     scores.setflags(write=False)
     assignment.setflags(write=False)
+    with np.errstate(over="ignore"):
+        singular_values = np.ldexp(sigma, e)
     return SpectralAssignment(
         assignment=assignment,
         rank_deficient=rank_deficient,
         isotropic=isotropic,
-        singular_values=sigma * scale,
+        singular_values=singular_values,
         left_vectors=np.vstack([w1, w2]),
         scores=scores,
     )

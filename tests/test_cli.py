@@ -98,11 +98,13 @@ def test_decompose_fixed_epsilon_and_paper_literal(capsys, matrix_csv):
 
 def test_decompose_bad_epsilon_is_usage_error(capsys, matrix_csv, tmp_path):
     # --epsilon is checked before the matrix is read, so a missing input
-    # still gets the flag's message
-    for path in (matrix_csv, tmp_path / "nope.csv"):
-        code, out, err = run(capsys, "decompose", "--input", str(path), "--epsilon", "tiny")
+    # still gets the flag's message; 1e-400 parses as 0, so the message
+    # quotes the text as typed
+    paths = (matrix_csv, tmp_path / "nope.csv")
+    for path, value in itertools.product(paths, ("tiny", "0", "-1", "nan", "1e-400")):
+        code, out, err = run(capsys, "decompose", "--input", str(path), "--epsilon", value)
         assert (code, out) == (2, "")
-        assert "--epsilon" in err and "Errno" not in err
+        assert "--epsilon" in err and repr(value) in err and "Errno" not in err
 
 
 def test_decompose_handles_sub_ulp_residuals(capsys, tmp_path):
@@ -321,6 +323,11 @@ def test_grid_bad_ranges(capsys):
     for flag in ("--p-steps", "--v-steps"):
         code, _, err = run(capsys, "grid", flag, "-1")
         assert code == 2 and flag in err and "-1" in err
+    for bounds in (("--v-min", "0.02", "--v-max", "0.01"), ("--v-min", "-1")):
+        code, out, err = run(capsys, "grid", *bounds)
+        assert (code, out, err) == (2, "", "error: need 0 <= v-min <= v-max\n")
+    code, out, err = run(capsys, "grid", "--k", "1")
+    assert (code, out, err) == (2, "", "error: need at least 2 classes, got 1\n")
     # every p, v and ce written must be finite
     for v_max in ("inf", "1e308"):
         code, out, err = run(capsys, "grid", "--v-max", v_max, "--p-steps", "2", "--v-steps", "2")
@@ -425,6 +432,17 @@ def test_failed_simulate_leaves_no_file_it_created(capsys, tmp_path, monkeypatch
     assert run(capsys, *argv[:-1], "y.txt")[0] == 0
     assert sorted(os.listdir(tmp_path)) == ["m.bin", "y.txt"]
     assert load_matrix(tmp_path / "m.bin").values.shape == (5, 3)
+    # an internal error in a later write exits 1 and leaves no staged file either
+    (tmp_path / "internal").mkdir()
+    monkeypatch.chdir(tmp_path / "internal")
+
+    def broken(*_):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "save_labels", broken)
+    code, out, err = run(capsys, *argv[:-1], "y.txt")
+    assert (code, out, err) == (1, "", "internal error: RuntimeError: boom\n")
+    assert os.listdir(tmp_path / "internal") == []
 
 
 CHUNK = covar.io._CHUNK_ROWS
@@ -718,6 +736,7 @@ def test_out_of_memory_requests_exit_2(capsys, matrix_csv, labels_file, argv):
         (("simulate", "--n", "5", "--k", "3", "--temp", "inf"), "overconfidence_temp must be finite, got inf"),
         (("simulate", "--n", "5", "--k", "3", "--priors", "nan,0.5,0.5"), "(nan, 0.5, 0.5)"),
         (("simulate", "--n", "5", "--k", "3", "--seed", "-1"), "seed must be a non-negative integer, got -1"),
+        (("simulate", "--n", "5", "--k", "3", "--priors", "0.5,x"), "comma-separated numbers, got '0.5,x'"),
     ],
 )
 def test_non_finite_config_values_are_named(capsys, matrix_csv, labels_file, argv, named):

@@ -150,6 +150,12 @@ def test_spectral_isotropic_tie():
     # tie ordering: w1 = e2, w2 = e1 (ascending lexicographic)
     np.testing.assert_array_equal(sp.left_vectors, [[0.0, 1.0], [1.0, 0.0]])
     np.testing.assert_array_equal(sp.assignment, [1, 0, 1, 0])
+    # an off-diagonal whose square underflows after scaling is negligible:
+    # the split is that of the exactly isotropic phi
+    sp = spectral_assign(np.array([[1.0, 0.0, 1e-100], [0.0, 1.0, 1e-100]]))
+    assert sp.isotropic and not sp.rank_deficient
+    np.testing.assert_array_equal(sp.left_vectors, [[0.0, 1.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(sp.assignment, [1, 0, 0])
 
 
 def test_spectral_rank_deficient_collapses_to_one_cluster():
@@ -164,6 +170,26 @@ def test_spectral_rejects_zero_and_nonfinite():
         spectral_assign(np.zeros((2, 3)))
     with pytest.raises(DomainError):
         spectral_assign(np.array([[1.0, np.inf], [0.0, 1.0]]))
+    with pytest.raises(DomainError, match=r"phi must be \(2, N\), got \(3, 2\)"):
+        spectral_assign(np.ones((3, 2)))
+    with pytest.raises(DomainError, match="need at least 2 samples"):
+        spectral_assign(np.ones((2, 1)))
+    with pytest.raises(DomainError, match=r"phi must be \(2, N\), got \(3, 2\)"):
+        EmbeddingMatrix(np.zeros((3, 2)), "raw")
+
+
+@given(phi_strategy(), st.integers(0, 11), st.floats(5e-324, 1e-100))
+@example(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), 2, 1e-100)
+@example(np.array([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0]]), 2, 5e-324)
+@settings(max_examples=200)
+def test_spectral_scores_are_finite_with_a_tiny_column(phi, col, tiny):
+    # a tiny sample makes the gram's off-diagonal tiny where the rows are
+    # otherwise orthogonal; the split must still give finite scores
+    phi = phi.copy()
+    phi[:, col % phi.shape[1]] = tiny
+    sp = spectral_assign(phi)
+    assert np.isfinite(sp.scores).all()
+    assert set(sp.assignment.tolist()) <= {0, 1}
 
 
 def test_spectral_scale_and_sign_invariance():
@@ -175,6 +201,19 @@ def test_spectral_scale_and_sign_invariance():
         np.testing.assert_array_equal(sp.assignment, base.assignment)
         np.testing.assert_allclose(sp.singular_values, c * base.singular_values, rtol=1e-12)
     np.testing.assert_array_equal(spectral_assign(-phi).assignment, base.assignment)
+    # powers of two up to one that puts max|phi| in [2**1023, 2**1024)
+    # move no bit; a singular value past the float64 range reads inf
+    top = 2.0 ** (1024 - math.frexp(np.abs(phi).max())[1])
+    assert np.abs(top * phi).max() >= 2.0**1023
+    for c in (2.0**1000, top):
+        sp = spectral_assign(c * phi)
+        np.testing.assert_array_equal(sp.assignment, base.assignment)
+        np.testing.assert_array_equal(sp.scores, base.scores)
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(sp.singular_values, c * base.singular_values)
+    # the largest finite entry beside small ones still splits
+    sp = spectral_assign(np.array([[1.7976931348623157e308, -1e300, 3.0], [1.0, 5.0, -1.0]]))
+    assert sp.rank_deficient and np.isfinite(sp.scores).all()
 
 
 def _reference_spectral(phi):
