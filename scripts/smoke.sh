@@ -53,11 +53,25 @@ if [ "$code" -ne 2 ] || [ -s fifo.out ]; then
   exit 1
 fi
 # --epsilon is checked before the matrix is read, so a bad value exits 2
-# with nothing on stdout even when the input does not exist
+# with nothing on stdout and a message naming the flag even when the input
+# does not exist; no K allows a fixed epsilon of 1 or more
+for eps in tiny inf 1; do
+  code=0
+  python -m covar decompose --input nope.csv --epsilon "$eps" > eps.out 2> eps.err || code=$?
+  if [ "$code" -ne 2 ] || [ -s eps.out ] || ! grep -q -- --epsilon eps.err; then
+    echo "decompose --input nope.csv --epsilon $eps exited $code, expected 2, empty stdout" \
+      "and a message naming --epsilon" >&2
+    exit 1
+  fi
+done
+# a row sum that overflows is named by the row-sum check, with no numpy
+# warning before it: exit 2, empty stdout, one line on stderr
+printf 'c0,c1\n0.5,0.5\n1e308,1e308\n' > ovf.csv
 code=0
-python -m covar decompose --input nope.csv --epsilon tiny > eps.out || code=$?
-if [ "$code" -ne 2 ] || [ -s eps.out ]; then
-  echo "decompose --input nope.csv --epsilon tiny exited $code, expected 2 and empty stdout" >&2
+python -m covar decompose --input ovf.csv > ovf.out 2> ovf.err || code=$?
+if [ "$code" -ne 2 ] || [ -s ovf.out ] || [ "$(wc -l < ovf.err)" -ne 1 ]; then
+  echo "decompose --input ovf.csv exited $code, expected 2, empty stdout and one stderr line:" >&2
+  cat ovf.err >&2
   exit 1
 fi
 # at K = 300 the residual kernels run over many row blocks of a few rows each

@@ -92,7 +92,7 @@ def _cmd_decompose(args) -> dict:
             policy = EpsilonPolicy.fixed(float(args.epsilon))
         except ValueError:
             raise CovarError(
-                f"--epsilon must be 'adaptive' or a positive number, got {args.epsilon!r}"
+                f"--epsilon must be 'adaptive' or a number in (0, 1), got {args.epsilon!r}"
             ) from None
         eps_echo = policy.value
     batch = load_matrix(args.input)

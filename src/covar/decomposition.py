@@ -68,14 +68,21 @@ class EpsilonPolicy:
 
     ``value=None`` (:meth:`adaptive`) sets eps = mu per sample; a value
     (:meth:`fixed`) is used for the whole run and must be positive and
-    stay below 1/(K-1).
+    stay below 1/(K-1).  The policy checks what holds for every K >= 2,
+    0 < value < 1; :meth:`resolve` checks the bound for the batch's K.
     """
 
     value: float | None = None
 
     def __post_init__(self) -> None:
-        if self.value is not None and not self.value > 0.0:
+        if self.value is None:
+            return
+        if not self.value > 0.0:
             raise DomainError(f"a fixed epsilon must be > 0, got {self.value!r}")
+        if not self.value < 1.0:
+            raise DomainError(
+                f"a fixed epsilon must be < 1, the bound 1/(K-1) at K = 2, got {self.value!r}"
+            )
 
     @classmethod
     def adaptive(cls) -> "EpsilonPolicy":
@@ -194,6 +201,7 @@ def g_coefficient(max_conf, n_classes: int, policy: EpsilonPolicy):
 # the cut the series is summed instead; its eight terms leave a
 # truncation error under t^11/11, below half an ulp of t^3/3 there.
 _TAIL_CUT = 2.0**-7
+_SQ_CUT = 0.5 * _TAIL_CUT * _TAIL_CUT  # 2^-15, exact
 _TAIL_COEFFS = tuple((-1) ** j / (j + 3) for j in range(8))
 
 
@@ -365,7 +373,7 @@ def decompose_batch(
     log_sums = np.empty(n)
     tail_sums = np.empty(n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for rows, (t, tails, sq) in _row_blocks(n, k - 1, 3):
+        for rows, (t, tails, sq, mask) in _row_blocks(n, k - 1, 4):
             r = residuals[rows]
             mu_col = mu[rows, None]
             np.log(r, out=sq)
@@ -377,12 +385,22 @@ def decompose_batch(
             np.divide(r, mu_col, out=tails)
             np.log(tails, out=tails)
             np.log1p(t, out=sq)
-            np.putmask(tails, t > -0.5, sq)
+            # Selected on the bits, tails ^= (sq ^ tails) & mask with an
+            # all-ones or all-zeros mask: every element takes the same
+            # full-array passes, where putmask's data-dependent copy is slow.
+            bits, sq_bits, mask_bits = (a.view(np.uint64) for a in (tails, sq, mask))
+            np.greater(t, -0.5, out=mask_bits)
+            np.negative(mask_bits, out=mask_bits)  # 1 -> all ones
+            sq_bits ^= bits
+            sq_bits &= mask_bits
+            bits ^= sq_bits
             tails -= t
             np.multiply(t, 0.5, out=sq)
             sq *= t
             tails += sq
-            small = np.flatnonzero(np.abs(t, out=sq) < _TAIL_CUT)
+            # sq = t^2/2 rounded, and rounding is monotone: sq < 2^-15
+            # exactly when |t| < 2^-7, so no |t| pass is needed
+            small = np.flatnonzero(sq < _SQ_CUT)
             if small.size:
                 np.put(tails, small, _tail_series(np.take(t, small)))
             tails.sum(axis=1, out=tail_sums[rows])
@@ -394,7 +412,10 @@ def decompose_batch(
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p = np.log(p)
         resid_logs = np.where(degenerate, (k - 1) * np.log(mu), log_sums)
-        certified = np.where(rho < 1.0, _certificate(k, eps, rho, mu, v), math.inf)
+        # Only in-band rows reach pow: (1 - rho)^3 on a negative base takes
+        # pow's slow path, and np.where discards those values anyway.
+        band = rho < 1.0
+        certified = np.where(band, _certificate(k, eps, np.where(band, rho, 0.0), mu, v), math.inf)
         bound = np.where(v == 0.0, 0.0, certified)
         remainder = np.where(v == 0.0, 0.0, -eps * tail_sums)
         fields = _fields(

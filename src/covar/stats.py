@@ -227,14 +227,19 @@ class ProbabilityBatch(RowColumns[PredictionStats]):
             raise ValidationError("batch must contain at least one sample")
         if k < 2:
             raise ValidationError(f"need at least 2 classes, got {k}")
-        if not np.all(np.isfinite(arr)):
-            row = int(np.argwhere(~np.isfinite(arr).all(axis=1))[0, 0])
-            raise ValidationError("non-finite entry", row=row)
-        if (arr < 0.0).any():
+        # A non-finite entry makes its row sum non-finite, so the entries are
+        # scanned only when a sum is; finite entries can overflow a sum,
+        # which the row-sum check then names.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = arr.sum(axis=1)
+        if not np.isfinite(sums).all():
+            finite = np.isfinite(arr).all(axis=1)
+            if not finite.all():
+                raise ValidationError("non-finite entry", row=int(finite.argmin()))
+        if arr.min() < 0.0:
             neg = arr < 0.0
-            row = int(np.argwhere(neg.any(axis=1))[0, 0])
+            row = int(neg.any(axis=1).argmax())
             raise ValidationError(f"negative entry {float(arr[row][neg[row]][0])!r}", row=row)
-        sums = arr.sum(axis=1)
         drift = np.abs(sums - 1.0)
         bad = drift > ROW_SUM_REJECT
         if bad.any():

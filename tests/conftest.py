@@ -1,6 +1,7 @@
 """Shared helpers and hypothesis strategies for the covar test suite."""
 from __future__ import annotations
 
+import math
 import os
 
 import hypothesis
@@ -69,3 +70,39 @@ def confident_rows(draw, min_k: int = 3, max_k: int = 10):
 def batch_of(rows) -> ProbabilityBatch:
     return ProbabilityBatch.from_array(np.atleast_2d(np.asarray(rows, dtype=np.float64)))
 
+
+
+def row_with_t(t: float, k: int) -> np.ndarray | None:
+    """A K-class row (K >= 5) whose first two residuals sit at exactly t and -t.
+
+    t is (p(k) - mu) / mu as the residual kernels round it, with mu =
+    (1 - p(k')) / (K - 1); the other residuals sit at mu.  The search tries
+    seeded top confidences in (0.3, 0.5), where 1 - p(k') can end in any
+    bit, until both residuals land on t and -t, and gives None if none does.
+    t just below 2^-7 needs a mu whose significand is above 4/3 and ends in
+    the bits 0000001, which no K = 6 row with p(k') on top has.
+    """
+    for p in np.random.default_rng(0).uniform(0.3, 0.5, 1 << 16).tolist():
+        mu = (1.0 - p) / (k - 1)
+        d = round(t * mu / math.ulp(mu)) * math.ulp(mu)
+        if (mu + d - mu) / mu == t and (mu - d - mu) / mu == -t:
+            return np.array([p, mu + d, mu - d] + [mu] * (k - 3))
+    return None
+
+
+def band_edge_rows(k: int) -> list[np.ndarray]:
+    """Rows (K >= 5) at the residual kernels' branch points.
+
+    t = -0.5 (log(r/mu) below, log1p above), |t| = 2^-7 and its neighbouring
+    doubles where a row reaches them (series below, log1p above), and rho
+    just below 1, exactly 1 and above 1 (the certificate holds only while
+    rho < 1).
+    """
+    cut = 2.0**-7
+    targets = (-0.5, math.nextafter(cut, 0.0), cut, math.nextafter(cut, 1.0))
+    rows = [row for t in targets if (row := row_with_t(t, k)) is not None]
+    mu = 0.5 / (k - 1)
+    rows.append(np.array([0.5, mu * (2.0 - 2.0**-30), mu * 2.0**-30] + [mu] * (k - 3)))  # rho < 1
+    rows.append(np.array([0.5, 2.0 * mu] + [(0.5 - 2.0 * mu) / (k - 2)] * (k - 2)))  # rho = 1
+    rows.append(np.array([0.5, 0.45] + [0.05 / (k - 2)] * (k - 2)))  # rho > 1
+    return rows

@@ -99,9 +99,10 @@ def test_decompose_fixed_epsilon_and_paper_literal(capsys, matrix_csv):
 def test_decompose_bad_epsilon_is_usage_error(capsys, matrix_csv, tmp_path):
     # --epsilon is checked before the matrix is read, so a missing input
     # still gets the flag's message; 1e-400 parses as 0, so the message
-    # quotes the text as typed
+    # quotes the text as typed; no K allows a value of 1 or more
     paths = (matrix_csv, tmp_path / "nope.csv")
-    for path, value in itertools.product(paths, ("tiny", "0", "-1", "nan", "1e-400")):
+    values = ("tiny", "0", "-1", "nan", "1e-400", "inf", "1", "2.5")
+    for path, value in itertools.product(paths, values):
         code, out, err = run(capsys, "decompose", "--input", str(path), "--epsilon", value)
         assert (code, out) == (2, "")
         assert "--epsilon" in err and repr(value) in err and "Errno" not in err
@@ -129,6 +130,15 @@ def test_decompose_zero_residual_is_domain_error(capsys, tmp_path):
     code, _, err = run(capsys, "decompose", "--input", str(path))
     assert code == 2
     assert "sample 0" in err
+
+
+def test_overflowing_row_sum_exits_2_with_one_stderr_line(tmp_path):
+    # in a child process, so a numpy RuntimeWarning would reach stderr
+    path = tmp_path / "ovf.csv"
+    path.write_text("c0,c1\n0.5,0.5\n1e308,1e308\n")
+    proc = run_python("-m", "covar", "decompose", "--input", str(path))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [f"error: {path}:3: sum inf deviates from 1 by more than 1e-06"]
 
 
 def test_select_report(capsys, matrix_csv):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import batch_of, confident_rows, simplex_rows
+from conftest import band_edge_rows, batch_of, confident_rows, simplex_rows
+from covar import decomposition
 from covar.decomposition import (
     CEDecomposition,
     EpsilonPolicy,
@@ -80,11 +81,16 @@ def test_epsilon_policies_resolve():
         EpsilonPolicy.fixed(0.2).resolve(0.05, 11)  # 0.2 >= 1/10
     with pytest.raises(DomainError):
         EpsilonPolicy.fixed(-0.01).resolve(0.05, 3)
-    # no value means adaptive; a fixed value must be a positive number
+    # no value means adaptive; a fixed value must lie in (0, 1), which
+    # 1/(K-1) bounds for every K >= 2
     assert EpsilonPolicy.adaptive() == EpsilonPolicy()
-    for bad in (0.0, math.nan):
+    for bad in (0.0, -1.0, math.nan):
         with pytest.raises(DomainError, match="fixed epsilon must be > 0"):
             EpsilonPolicy.fixed(bad)
+    for bad in (1.0, 2.5, math.inf):
+        with pytest.raises(DomainError, match="fixed epsilon must be < 1"):
+            EpsilonPolicy.fixed(bad)
+    assert EpsilonPolicy.fixed(math.nextafter(1.0, 0.0)).resolve(0.25, 2) < 1.0
 
 
 def test_g_coefficient_reference_values():
@@ -330,6 +336,7 @@ EDGE_BATCHES = [
     np.full((1, 5), 0.2 * (1 - 5e-10)),  # near uniform, max below 1/K
     np.array([[0.9, 0.1], [0.75, 0.25], [0.5, 0.5]]),  # K = 2
     np.array([[0.8, 0.1, 0.1], [0.7, 0.2, 0.1]]),
+    np.array(band_edge_rows(5)),  # t = -0.5, |t| near 2^-7, rho near 1
 ]
 FIELDS = [f.name for f in dataclasses.fields(CEDecomposition)]
 
@@ -388,10 +395,55 @@ def test_kernel_matches_reference_on_random_rows(rows):
         assert_kernel_matches_reference(rows, policy, literal)
 
 
-@pytest.mark.parametrize("rows", EDGE_BATCHES, ids=["k6-edges", "near-uniform", "k2", "k3"])
+@pytest.mark.parametrize(
+    "rows", EDGE_BATCHES, ids=["k6-edges", "near-uniform", "k2", "k3", "k5-band-edges"]
+)
 @pytest.mark.parametrize("policy,literal", POLICY_CASES)
 def test_kernel_matches_reference_on_edge_rows(rows, policy, literal):
     assert_kernel_matches_reference(rows, policy, literal)
+
+
+@pytest.mark.parametrize("k", [5, 100, 1000])
+def test_band_edge_rows_sit_on_the_branch_points(k):
+    batch = ProbabilityBatch.from_array(np.array(band_edge_rows(k)))
+    mu = batch.residual_mean[:, None]
+    t = (batch.residuals - mu) / mu  # as the kernel rounds it
+    cut = 2.0**-7
+    assert t[:4, 0].tolist() == [-0.5, math.nextafter(cut, 0.0), cut, math.nextafter(cut, 1.0)]
+    assert (t[:4, 1] == -t[:4, 0]).all()
+    assert batch.rho[-3] < 1.0 == batch.rho[-2] < batch.rho[-1]
+
+
+def test_small_t_test_reads_the_quadratic_term():
+    # sq = (0.5 t) t rounded; rounding is monotone and 2^-15 is exact, so
+    # sq < 2^-15 exactly when |t| < 2^-7, for every double t
+    cut = decomposition._TAIL_CUT
+    near = [math.nextafter(cut, 0.0), cut, math.nextafter(cut, 1.0)]
+    special = [0.0, 5e-324, 1e-170, 1e200, math.inf, math.nan, 0.5, 1.0]
+    t = np.array(near + special + np.random.default_rng(0).uniform(-0.02, 0.02, 1000).tolist())
+    t = np.concatenate([t, -t])
+    with np.errstate(over="ignore", under="ignore"):
+        sq = np.multiply(t, 0.5) * t
+    assert decomposition._SQ_CUT == 2.0**-15
+    assert np.array_equal(sq < decomposition._SQ_CUT, np.abs(t) < cut)
+
+
+def test_in_band_bound_is_the_certificate_of_the_unmodified_columns():
+    # rows out of the band reach pow with rho = 0 in place of their own rho;
+    # every in-band bound must keep the bits of the certificate evaluated
+    # on the batch's own columns, with the negative bases 1 - rho present
+    rng = np.random.default_rng(3)
+    rows = np.concatenate([rng.dirichlet(np.full(8, a), 300) for a in (0.5, 40.0, 400.0)])
+    rows[::7] = rows[::7, ::-1]
+    batch = ProbabilityBatch.from_array(rng.permutation(rows))
+    band = (batch.rho < 1.0) & (batch.rcv > 0.0) & ~batch.degenerate
+    assert 100 < band.sum() < len(rows) - 100
+    for policy in (ADAPTIVE, EpsilonPolicy.fixed(0.01)):
+        cols = decompose_batch(batch, policy).samples
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = decomposition._certificate(8, cols.epsilon, batch.rho, batch.residual_mean, batch.rcv)
+        assert cols.remainder_bound[band].tobytes() == want[band].tobytes()
+        assert np.isinf(cols.remainder_bound[(batch.rho >= 1.0) & ~batch.degenerate]).all()
 
 
 @given(simplex_rows())

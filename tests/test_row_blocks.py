@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import covar.stats as stats_module
+from conftest import band_edge_rows
 from covar.decomposition import CEDecomposition, EpsilonPolicy, decompose_batch
 from covar.errors import InfiniteCrossEntropyError
 from covar.stats import ProbabilityBatch
@@ -32,6 +33,8 @@ def edge_rows(k: int) -> list[np.ndarray]:
     ]
     if k > 2:  # a residual below ulp(mu): its deviation saturates at -mu, t = -1
         rows.append(np.concatenate([[0.6, 1e-300], np.full(k - 2, (0.4 - 1e-300) / (k - 2))]))
+    if k >= 5:  # t = -0.5, |t| at 2^-7 and its neighbours, rho below, at and above 1
+        rows.extend(band_edge_rows(k))
     return rows
 
 

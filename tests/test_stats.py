@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,24 @@ def test_batch_validation_rejects_negative_and_nonfinite():
         ProbabilityBatch.from_array(np.ones((1, 1)))  # K < 2
     with pytest.raises(ValidationError):
         ProbabilityBatch.from_array(np.ones((0, 3)))  # empty
+
+
+def test_batch_validation_precedence_without_warnings():
+    # non-finite entries first, then negative ones, then row sums, each
+    # naming its first row; an overflowing or inf - inf row sum must not
+    # warn on the way
+    cases = [
+        ([[0.5, 0.5], [-0.5, 1.5], [np.inf, -np.inf]], r"row 2: non-finite entry$"),
+        ([[0.5, 0.5], [1e308, 1e308], [np.nan, 0.5]], r"row 2: non-finite entry$"),
+        ([[1e308, 1e308], [-0.5, 1.5]], r"row 1: negative entry -0\.5$"),
+        ([[0.5, 0.5], [1e308, 1e308]], r"row 1: sum inf deviates"),
+        ([[0.5, 0.5], [1e308, -1e308]], r"row 1: negative entry -1e\+308$"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rows, message in cases:
+            with pytest.raises(ValidationError, match=message):
+                ProbabilityBatch.from_array(np.array(rows))
 
 
 def test_row_sum_policy_three_zones():
