@@ -385,9 +385,10 @@ def decompose_batch(
             np.divide(r, mu_col, out=tails)
             np.log(tails, out=tails)
             np.log1p(t, out=sq)
-            # Selected on the bits, tails ^= (sq ^ tails) & mask with an
-            # all-ones or all-zeros mask: every element takes the same
-            # full-array passes, where putmask's data-dependent copy is slow.
+            # The two are selected on the bits, tails ^= (sq ^ tails) & mask,
+            # with mask all ones where t > -0.5: every element takes the same
+            # full-array passes, about twice as fast as a masked copy
+            # (np.putmask) with a data-dependent mask.
             bits, sq_bits, mask_bits = (a.view(np.uint64) for a in (tails, sq, mask))
             np.greater(t, -0.5, out=mask_bits)
             np.negative(mask_bits, out=mask_bits)  # 1 -> all ones

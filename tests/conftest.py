@@ -71,7 +71,6 @@ def batch_of(rows) -> ProbabilityBatch:
     return ProbabilityBatch.from_array(np.atleast_2d(np.asarray(rows, dtype=np.float64)))
 
 
-
 def row_with_t(t: float, k: int) -> np.ndarray | None:
     """A K-class row (K >= 5) whose first two residuals sit at exactly t and -t.
 
