@@ -81,12 +81,16 @@ python -m covar decompose --input wide.bin --paper-literal | python -c "$json_ok
 python -m covar select --input wide.bin | python -c "$json_ok"
 # 10,000 rows are three chunks, and a second run of the same commands must
 # write the same bytes; the fixed-eps and paper-literal runs take the
-# decomposition's other branches, and grid's 100 x 100 surface is 10,000 rows
+# decomposition's other branches, and grid's 100 x 100 surface is 10,000 rows.
+# The labels file must hold the report's true_label column, one per line
+labels_ok='import json, sys; col = [s["true_label"] for s in json.load(open("simulate.json"))["samples"]]
+sys.exit(open("big.txt").read() != "\n".join(map(str, col)) + "\n" and "big.txt is not the true_label column")'
 for d in run1 run2; do
   mkdir "$d"
   (
     cd "$d"
-    python -m covar simulate --n 10000 --k 6 --out big.csv > simulate.json
+    python -m covar simulate --n 10000 --k 6 --out big.csv --labels-out big.txt > simulate.json
+    python -c "$labels_ok"
     python -m covar decompose --input big.csv > decompose.json
     python -m covar decompose --input big.csv --epsilon 0.01 > decompose_fixed.json
     python -m covar decompose --input big.csv --paper-literal > decompose_literal.json
@@ -94,6 +98,6 @@ for d in run1 run2; do
     python -m covar grid --p-steps 100 --v-steps 100 > grid.csv
   )
 done
-(cd run1 && sha256sum big.csv simulate.json decompose.json decompose_fixed.json \
+(cd run1 && sha256sum big.csv big.txt simulate.json decompose.json decompose_fixed.json \
   decompose_literal.json select.json grid.csv) > big.sha256
 (cd run2 && sha256sum -c ../big.sha256)

@@ -25,7 +25,6 @@ from .decomposition import EpsilonPolicy, decompose_batch, g_coefficient
 from .decomposition import decompose_sample  # noqa: F401  (perfbench/tracing.py wraps it by name)
 from .errors import CovarError
 from .io import (
-    _CHUNK_ROWS,
     Columns,
     _csv_chunks,
     load_labels,
@@ -38,7 +37,7 @@ from .io import (
 from .io import serialize_report  # noqa: F401  (perfbench/tracing.py wraps it by name)
 from .pcos import DEFAULT_LAMBDA, pcos
 from .simulator import CovarPolicy, SyntheticConfig, evaluate_policies, generate
-from .stats import ProbabilityBatch, compute_stats  # noqa: F401  (perfbench wraps compute_stats)
+from .stats import _CHUNK_ROWS, ProbabilityBatch, compute_stats  # noqa: F401  (perfbench wraps compute_stats)
 
 __all__ = ["run_cli"]
 

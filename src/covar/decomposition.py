@@ -130,7 +130,8 @@ class CEDecomposition:
 @dataclass(frozen=True, eq=False)
 class DecompositionColumns(RowColumns[CEDecomposition]):
     """:class:`CEDecomposition` of a whole batch, one read-only (N,) array
-    per field; also a sequence of per-row records built on demand."""
+    per field; also a sequence of per-row records built on demand, one
+    chunk of rows at a time."""
 
     row_type: ClassVar[type] = CEDecomposition
 

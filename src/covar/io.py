@@ -52,7 +52,7 @@ from typing import Any, Iterable, Iterator, TextIO
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .stats import ProbabilityBatch
+from .stats import _CHUNK_ROWS, ProbabilityBatch
 
 __all__ = [
     "MAGIC",
@@ -72,8 +72,6 @@ __all__ = [
 MAGIC = b"COVR"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sBII")
-# Rows per piece of text when writing a CSV matrix or a report section.
-_CHUNK_ROWS = 4096
 
 
 def format_float(x: float) -> str:
@@ -263,8 +261,10 @@ def load_labels(path: str | Path, n_classes: int) -> np.ndarray:
 
 def save_labels(labels: np.ndarray, path: str | Path) -> None:
     """Write the format :func:`load_labels` reads: one label per line."""
-    text = "\n".join(map(str, np.asarray(labels, dtype=np.int64).tolist()))
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    values = np.asarray(labels, dtype=np.int64)
+    with open(path, "w", encoding="utf-8") as fh:
+        # no labels is one empty line
+        fh.writelines(_text_chunks([[values]], ["", "\n"], False) if len(values) else ["\n"])
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,10 @@ def _row_blocks(n: int, width: int, buffers: int) -> Iterator[tuple[slice, np.nd
         yield slice(start, stop), scratch[:, : stop - start]
 
 
+# Rows per chunk when per-row records are built or rows are written as text,
+# so either holds one chunk of Python scalars or text at a time.
+_CHUNK_ROWS = 4096
+
 R = TypeVar("R")
 
 
@@ -128,7 +132,8 @@ class RowColumns(Sequence[R]):
 
     Every column is marked read-only on construction, and the instance is
     also a sequence of ``row_type`` records, each built only when indexed
-    or iterated.
+    or iterated.  Iteration holds one chunk of ``_CHUNK_ROWS`` rows as
+    Python scalars at a time, so its memory does not grow with N.
     """
 
     row_type: ClassVar[type]
@@ -154,15 +159,13 @@ class RowColumns(Sequence[R]):
         return self._rows(0, len(self))
 
     def _rows(self, start: int, stop: int) -> Iterator[R]:
-        parts = []
-        for name in self._names:
-            col = getattr(self, name)
-            if col.ndim == 2:
-                parts.append(col[start:stop])
-            else:  # tolist() so rows hold Python scalars
-                parts.append(col[start:stop].tolist())
-        for row in zip(*parts):
-            yield self.row_type(*row)
+        cols = [getattr(self, name) for name in self._names]
+        for at in range(start, stop, _CHUNK_ROWS):
+            end = min(at + _CHUNK_ROWS, stop)
+            # tolist() so rows hold Python scalars
+            parts = [col[at:end] if col.ndim == 2 else col[at:end].tolist() for col in cols]
+            for row in zip(*parts):
+                yield self.row_type(*row)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,8 +177,8 @@ class ProbabilityBatch(RowColumns[PredictionStats]):
     ``deviations`` is not stored: it is ``residuals - residual_mean``,
     recomputed on each access, bitwise what a stored column would hold.
     The batch is also a sequence of per-row :class:`PredictionStats`, each
-    built only when indexed or iterated.  Build instances through
-    :meth:`from_array`.
+    built only when indexed or iterated; iteration holds one chunk of rows
+    as Python scalars at a time.  Build instances through :meth:`from_array`.
     """
 
     row_type: ClassVar[type] = PredictionStats

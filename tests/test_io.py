@@ -328,6 +328,21 @@ def test_load_labels_plain_and_with_header(tmp_path):
     np.testing.assert_array_equal(load_labels(p, 5), [4, 0, 3])
 
 
+@pytest.mark.parametrize("n", [0, io._CHUNK_ROWS - 1, io._CHUNK_ROWS, io._CHUNK_ROWS + 1])
+def test_save_labels_writes_the_joined_text(tmp_path, n):
+    rng = np.random.default_rng(n)
+    p = tmp_path / "y.txt"
+    for labels in (
+        rng.integers(0, 6, n),
+        rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, n, endpoint=True),
+        rng.integers(0, 2, n).astype(np.uint8),
+    ):
+        save_labels(labels, p)
+        # the form the writer had before it wrote a chunk at a time
+        joined = "\n".join(map(str, np.asarray(labels, dtype=np.int64).tolist())) + "\n"
+        assert p.read_bytes() == joined.encode("ascii"), labels.dtype
+
+
 def test_load_labels_errors(tmp_path):
     p = tmp_path / "y.txt"
     p.write_text("0\n1.5\n")

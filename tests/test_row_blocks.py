@@ -119,3 +119,51 @@ def test_wide_batches_stay_within_block_memory():
     row, _, peak = traced(lambda: batch[1234].deviations)
     assert row.shape == (999,) and not row.flags.writeable
     assert peak <= 4 * row.nbytes
+
+
+def record_bits(record) -> list:
+    """Each field of a record as its type and bytes, so -0.0, nan and the
+    dtype of an array field all count."""
+    out = []
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, np.ndarray):
+            out.append((value.dtype.str, value.shape, value.tobytes()))
+        else:
+            out.append((type(value), np.array(value).tobytes()))
+    return out
+
+
+def row_views(n: int):
+    batch = ProbabilityBatch.from_array(mixed_batch(6, n))
+    return batch, decompose_batch(batch, EpsilonPolicy.adaptive()).samples
+
+
+def test_the_first_row_costs_a_chunk_not_the_batch():
+    batch, samples = row_views(13 * stats_module._CHUNK_ROWS + 7)
+    for rows in (batch, samples):
+        first, _, peak = traced(lambda: next(iter(rows)))
+        # a Python float and its list slot are 32 bytes; a chunk of every
+        # 1-d column as such, twice over, is far below the N-row lists
+        assert peak <= 2 * len(rows._names) * stats_module._CHUNK_ROWS * 32, (type(rows), peak)
+        assert record_bits(first) == record_bits(rows[0])
+
+
+@pytest.mark.parametrize("n", [2 * stats_module._CHUNK_ROWS, 2 * stats_module._CHUNK_ROWS + 5])
+def test_iteration_gives_the_indexed_records(n):
+    chunk = stats_module._CHUNK_ROWS
+    picks = [0, chunk - 1, chunk, chunk + 1, n - 1]
+    for rows in row_views(n):
+        records = list(rows)
+        assert len(records) == n
+        for i in picks:
+            assert record_bits(records[i]) == record_bits(rows[i]), (type(rows), i)
+            for f in dataclasses.fields(records[i]):
+                column = getattr(rows, f.name)
+                assert np.asarray(getattr(records[i], f.name)).tobytes() == column[i].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, stats_module._CHUNK_ROWS + 1])
+def test_iteration_yields_every_row(n):
+    for rows in row_views(n):
+        assert len(list(rows)) == n
