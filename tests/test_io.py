@@ -338,7 +338,7 @@ def test_save_labels_writes_the_joined_text(tmp_path, n):
         rng.integers(0, 2, n).astype(np.uint8),
     ):
         save_labels(labels, p)
-        # the form the writer had before it wrote a chunk at a time
+        # one str per label, joined: the bytes the labels format is defined by
         joined = "\n".join(map(str, np.asarray(labels, dtype=np.int64).tolist())) + "\n"
         assert p.read_bytes() == joined.encode("ascii"), labels.dtype
 
