@@ -76,6 +76,22 @@ if [ "$code" -ne 2 ] || [ -s ovf.out ] || [ "$(wc -l < ovf.err)" -ne 1 ]; then
 fi
 # at K = 300 the residual kernels run over many row blocks of a few rows each
 python -m covar simulate --n 3000 --k 300 --out wide.bin > /dev/null
+# an exact-zero residual makes the cross entropy infinite; row 150 of a
+# K = 300 matrix sits in the third row block, and the run must name it:
+# exit 2, empty stdout
+python -c 'import numpy as np
+r = np.random.default_rng(0).dirichlet(np.ones(300), 200)
+r[150] = 0.0
+r[150, :2] = 0.9, 0.1
+np.savetxt("zero.csv", r, delimiter=",", header=",".join(f"c{i}" for i in range(300)), comments="")'
+code=0
+python -m covar decompose --input zero.csv > zero.out 2> zero.err || code=$?
+if [ "$code" -ne 2 ] || [ -s zero.out ] || ! grep -q "sample 150" zero.err; then
+  echo "decompose --input zero.csv exited $code, expected 2, empty stdout and a message" \
+    "naming sample 150:" >&2
+  cat zero.err >&2
+  exit 1
+fi
 python -m covar decompose --input wide.bin | python -c "$json_ok"
 python -m covar decompose --input wide.bin --paper-literal | python -c "$json_ok"
 python -m covar select --input wide.bin | python -c "$json_ok"

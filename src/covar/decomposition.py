@@ -3,7 +3,10 @@
 For a row p with argmax k', residual mean mu and RCV v, the cross-entropy
 against the smoothed target q (eps mass on each non-max class) is
 
-    CE = -(1 - (K-1) eps) log p(k') - eps sum_{k != k'} log p(k).
+    CE = -(1 - (K-1) eps) log p(k') - eps sum_{k != k'} log p(k),
+
+computed as the CE against uniform residuals of the same mass plus its
+Jensen gap -eps sum_k log(p(k)/mu) >= 0 (part (i) of the theorem).
 
 Expanding each residual log around mu to second order,
 
@@ -214,27 +217,24 @@ def _tail_series(t):
     return t * t * t * acc
 
 
-def _remainder_series(residuals, mu: float, eps: float) -> float:
-    """exact_ce - approx_ce evaluated without catastrophic cancellation.
+def _residual_sums(residuals, mu: float) -> tuple[float, float]:
+    """fsum_k l_k and sum_k (l_k - t_k + t_k^2/2), with l_k = log(p(k)/mu).
 
-    Algebraically the remainder is -eps * sum_k (log1p(t_k) - t_k + t_k^2/2)
-    with t_k = (p(k) - mu) / mu; summing the third-order tails directly
-    keeps full relative precision even when the deviations are tiny, where
-    the naive difference of two O(1) cross-entropies would be pure
-    roundoff.  For |t| < 2^-7 each tail is summed as its power series
-    instead.  Far below the mean the deviation saturates at exactly -mu
-    (p - mu rounds there once p < ulp(mu)), so the log switches to the raw
-    probability ratio, which stays exact in that regime.
+    t_k = (p(k) - mu) / mu.  The first feeds the exact CE; -eps times the
+    second is exact_ce - approx_ce at full relative precision, where the
+    difference of two O(1) cross-entropies is roundoff.  Below |t| = 2^-7 a
+    tail is its power series.  l_k is log1p(t), but the log of the raw
+    ratio from t <= -0.5 on, since t saturates at exactly -1 once p(k) <
+    ulp(mu).  Every residual must be positive.
     """
+    ratios = []
     acc = 0.0
     for r in residuals:
         t = (r - mu) / mu
-        if abs(t) < _TAIL_CUT:
-            acc += _tail_series(t)
-        else:
-            log_ratio = math.log1p(t) if t > -0.5 else math.log(r / mu)
-            acc += log_ratio - t + 0.5 * t * t
-    return -eps * acc
+        log_ratio = math.log1p(t) if t > -0.5 else math.log(r / mu)
+        ratios.append(log_ratio)
+        acc += _tail_series(t) if abs(t) < _TAIL_CUT else log_ratio - t + 0.5 * t * t
+    return math.fsum(ratios), acc
 
 
 def _certificate(k: int, eps, rho, mu, v):
@@ -242,12 +242,14 @@ def _certificate(k: int, eps, rho, mu, v):
     return (k - 1) ** 1.5 * eps / (3.0 * (1.0 - rho) ** 3 * mu**3) * v**1.5
 
 
-def _fields(log, k, p, mu, v, rho, eps, g, log_p, resid_logs, remainder, bound, *, paper_literal):
+def _fields(log, k, p, mu, v, rho, eps, g, log_p, ratio_sum, remainder, bound, *, paper_literal):
     """The :class:`CEDecomposition` fields of one row, or of a batch as columns.
 
     ``log`` is ``math.log`` for Python floats or ``np.log`` for arrays, so
-    each caller keeps its own bits.  ``resid_logs`` is the row sum of the
-    residual logs, and ``remainder`` and ``bound`` are the certified form's;
+    each caller keeps its own bits.  ``ratio_sum`` is the row sum of the log
+    ratios l_k = log(p(k)/mu), 0 for a degenerate row: the exact CE is the
+    uniform-residual CE minus eps ratio_sum, its Jensen gap, and neither
+    term is negative.  ``remainder`` and ``bound`` are the certified form's;
     the paper-literal form shifts the remainder by its distance from the
     certified approximation.
     """
@@ -261,7 +263,7 @@ def _fields(log, k, p, mu, v, rho, eps, g, log_p, resid_logs, remainder, bound, 
     else:
         f = log_p - middle
     return dict(
-        exact_ce=-(1.0 - (k - 1) * eps) * log_p - eps * resid_logs,
+        exact_ce=-(1.0 - (k - 1) * eps) * log_p - eps * (ratio_sum + (k - 1) * log(mu)),
         f_term=f,
         g_coeff=g,
         middle_term=middle,
@@ -310,23 +312,19 @@ def decompose_sample(
     # safe_conf, since a row can sit above CONF_CEILING without being degenerate
     g = g_coefficient(stats.safe_conf, k, policy)
 
-    # Exact CE straight from the row's raw residual probabilities.
-    log_p = math.log(p)
-    if len(residuals) > 0:
-        if not all(r > 0.0 for r in residuals):
-            raise InfiniteCrossEntropyError(_ZERO_RESIDUAL)
-        resid_logs = math.fsum(math.log(r) for r in residuals)
-    else:
-        resid_logs = (k - 1) * math.log(mu)
+    # log(0 / mu) raises, so an exact-zero residual is named first.
+    if not all(r > 0.0 for r in residuals):
+        raise InfiniteCrossEntropyError(_ZERO_RESIDUAL)
+    ratio_sum, tail_sum = _residual_sums(residuals, mu)
 
     # C only where rho < 1 and v > 0: a float division by zero raises here.
     if v == 0.0:
         bound = remainder = 0.0
     else:
         bound = _certificate(k, eps, rho, mu, v) if rho < 1.0 else math.inf
-        remainder = _remainder_series(residuals, mu, eps)
+        remainder = -eps * tail_sum
     fields = _fields(
-        math.log, k, p, mu, v, rho, eps, g, log_p, resid_logs, remainder, bound,
+        math.log, k, p, mu, v, rho, eps, g, math.log(p), ratio_sum, remainder, bound,
         paper_literal=paper_literal,
     )
     return CEDecomposition(**fields)
@@ -367,18 +365,16 @@ def decompose_batch(
     g = g_coefficient(safe_conf, k, policy)
 
     # One pass over the (N, K-1) residual block, in row blocks: the row
-    # sums of log p(k) for the exact CE, and of the remainder's tails
-    # log1p(t) - t + t^2/2 with t = (p(k) - mu) / mu.  A degenerate row's
-    # tails are never read, since its v is 0.
+    # sums of the log ratios l_k = log(p(k)/mu) for the exact CE's Jensen
+    # gap, and of the remainder's tails l_k - t + t^2/2 with t = (p(k) -
+    # mu) / mu.  A degenerate row takes a ratio sum of 0, and its v is 0.
     residuals = batch_stats.residuals
-    log_sums = np.empty(n)
+    ratio_sums = np.empty(n)
     tail_sums = np.empty(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         for rows, (t, tails, sq, mask) in _row_blocks(n, k - 1, 4):
             r = residuals[rows]
             mu_col = mu[rows, None]
-            np.log(r, out=sq)
-            sq.sum(axis=1, out=log_sums[rows])
             np.subtract(r, mu_col, out=t)
             np.divide(t, mu_col, out=t)
             # log(r / mu) where t <= -0.5, since t saturates at -1 once
@@ -396,6 +392,7 @@ def decompose_batch(
             sq_bits ^= bits
             sq_bits &= mask_bits
             bits ^= sq_bits
+            tails.sum(axis=1, out=ratio_sums[rows])
             tails -= t
             np.multiply(t, 0.5, out=sq)
             sq *= t
@@ -406,14 +403,14 @@ def decompose_batch(
             if small.size:
                 np.put(tails, small, _tail_series(np.take(t, small)))
             tails.sum(axis=1, out=tail_sums[rows])
-    # A residual of exactly 0, and only that, makes its row's log sum -inf.
-    zero = (log_sums == -math.inf) & ~degenerate
+    # A residual of exactly 0, and only that, makes its row's ratio sum -inf.
+    zero = (ratio_sums == -math.inf) & ~degenerate
     if zero.any():
         raise InfiniteCrossEntropyError(f"sample {int(zero.argmax())}: {_ZERO_RESIDUAL}")
+    ratio_sums[degenerate] = 0.0
 
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p = np.log(p)
-        resid_logs = np.where(degenerate, (k - 1) * np.log(mu), log_sums)
         # Only in-band rows reach pow: (1 - rho)^3 on a negative base takes
         # pow's slow path, and np.where discards those values anyway.
         band = rho < 1.0
@@ -421,7 +418,7 @@ def decompose_batch(
         bound = np.where(v == 0.0, 0.0, certified)
         remainder = np.where(v == 0.0, 0.0, -eps * tail_sums)
         fields = _fields(
-            np.log, k, p, mu, v, rho, eps, g, log_p, resid_logs, remainder, bound,
+            np.log, k, p, mu, v, rho, eps, g, log_p, ratio_sums, remainder, bound,
             paper_literal=paper_literal,
         )
     samples = DecompositionColumns(**fields)

@@ -138,11 +138,12 @@ def _eig2_sym(a: float, b: float, c: float):
     """Eigendecomposition of [[a, b], [b, c]], eigenvalues descending.
 
     Returns (lam1, lam2, w1, w2, isotropic).  An off-diagonal whose square
-    underflows (|b| < 1.6e-162, below the precision of a + c >= 0.25) is
-    negligible, so the axes are the eigenvectors; on a tie there (a = c)
-    they are ordered lexicographically and the isotropy flag is set.
+    is not a normal double (|b| < 2^-511) is negligible: at a + c >= 0.25 a
+    rotation that small is below 1e-137, and at a = c the eigenvalues tie
+    to float precision.  So the axes are the eigenvectors, ordered
+    lexicographically on a tie, which sets the isotropy flag.
     """
-    if b * b == 0.0:
+    if abs(b) < 2.0**-511:
         if a == c:
             return a, c, np.array([0.0, 1.0]), np.array([1.0, 0.0]), True
         if a > c:

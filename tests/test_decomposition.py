@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from covar.decomposition import (
     g_coefficient,
 )
 from covar.errors import DomainError, InfiniteCrossEntropyError
-from covar.stats import ProbabilityBatch
+from covar.stats import CONF_CEILING, ProbabilityBatch
 from oracles import AssumptionViolation, IdealDistribution, exact_ce, taylor_log_expand
 
 ADAPTIVE = EpsilonPolicy.adaptive()
@@ -470,6 +471,54 @@ def test_kernel_exact_ce_matches_oracle(rows):
             scale = (1.0 - (k - 1) * eps) * logs[kp] + eps * (logs.sum() - logs[kp])
             got = float(cols.exact_ce[i])
             assert abs(got - want) <= 8 * math.ulp(scale), (i, got, want)
+
+
+def _rows_above_ceiling(k: int, n: int, seed: int) -> np.ndarray:
+    """Rows with p(k') in [1 - 1e-6, 1 - 1e-12): above the confidence
+    ceiling but not degenerate, so their residuals are kept as they are."""
+    rng = np.random.default_rng(seed)
+    rest = 10.0 ** -rng.uniform(6.0, 11.9, n)
+    return np.column_stack([1.0 - rest, rest[:, None] * rng.dirichlet(np.full(k - 1, 1.0), n)])
+
+
+def _exact_ce_decimal(p: float, residuals, eps: float) -> decimal.Decimal:
+    """-(1 - (K-1) eps) ln p - eps sum_k ln r_k, to 40 digits, at these floats."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        d = decimal.Decimal
+        logs = sum(d(r).ln() for r in residuals)
+        return -(1 - len(residuals) * d(eps)) * d(p).ln() - d(eps) * logs
+
+
+def test_exact_ce_is_within_4_ulp_of_a_40_digit_evaluation():
+    # both paths take the exact CE as the uniform-residual CE plus its
+    # Jensen gap, from the remainder's log ratios; rows with a zero
+    # residual (infinite CE) and degenerate rows (canonicalized) are left out
+    rng = np.random.default_rng(11)
+    batches = list(EDGE_BATCHES) + [
+        _rows_above_ceiling(3, 20, 1),
+        _rows_above_ceiling(6, 20, 2),
+        _rows_above_ceiling(40, 10, 3),
+        rng.dirichlet(np.full(100, 0.3), 48),
+        rng.dirichlet(np.full(300, 0.5), 12),
+    ]
+    checked = above_ceiling = 0
+    for rows in batches:
+        stats = ProbabilityBatch.from_array(rows)
+        k = stats.n_classes
+        keep = ~stats.degenerate & (stats.residuals > 0.0).all(axis=1)
+        above_ceiling += int((keep & (stats.max_conf >= CONF_CEILING)).sum())
+        for policy in (ADAPTIVE, EpsilonPolicy.fixed(min(0.01, 0.5 / (k - 1)))):
+            cols = decompose_batch(stats, policy).samples
+            for i in np.flatnonzero(keep).tolist():
+                s = stats[i]
+                want = _exact_ce_decimal(s.max_conf, s.residuals.tolist(), float(cols.epsilon[i]))
+                tol = 4 * math.ulp(float(want))
+                for got in (float(cols.exact_ce[i]), decompose_sample(s, policy).exact_ce):
+                    assert abs(decimal.Decimal(got) - want) <= tol, (k, i, policy, got, want)
+                checked += 1
+    # every row built above the ceiling, and every Dirichlet row, was checked
+    assert above_ceiling >= 50 and checked >= 2 * (above_ceiling + 48 + 12)
 
 
 def test_kernel_errors_match_reference():

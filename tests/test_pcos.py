@@ -15,6 +15,7 @@ from covar.pcos import (
     DEFAULT_LAMBDA,
     ClusterStats,
     EmbeddingMatrix,
+    _eig2_sym,
     cluster_statistics,
     embed,
     gaussian_weights,
@@ -150,12 +151,23 @@ def test_spectral_isotropic_tie():
     # tie ordering: w1 = e2, w2 = e1 (ascending lexicographic)
     np.testing.assert_array_equal(sp.left_vectors, [[0.0, 1.0], [1.0, 0.0]])
     np.testing.assert_array_equal(sp.assignment, [1, 0, 1, 0])
-    # an off-diagonal whose square underflows after scaling is negligible:
-    # the split is that of the exactly isotropic phi
-    sp = spectral_assign(np.array([[1.0, 0.0, 1e-100], [0.0, 1.0, 1e-100]]))
-    assert sp.isotropic and not sp.rank_deficient
-    np.testing.assert_array_equal(sp.left_vectors, [[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_array_equal(sp.assignment, [1, 0, 0])
+    # an off-diagonal whose square is not a normal double after scaling is
+    # negligible: the split is that of the exactly isotropic phi, also where
+    # the square is subnormal rather than 0 (1e-80 and 3e-78)
+    for tiny in (1e-100, 1e-80, 3e-78):
+        sp = spectral_assign(np.array([[1.0, 0.0, tiny], [0.0, 1.0, tiny]]))
+        assert sp.isotropic and not sp.rank_deficient, tiny
+        np.testing.assert_array_equal(sp.left_vectors, [[0.0, 1.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(sp.assignment, [1, 0, 0])
+
+
+def test_eig2_sym_vectors_are_unit_length_at_a_tie():
+    # at a == c, an off-diagonal near 2^-511 (b^2 near the smallest normal)
+    # must still give unit eigenvectors, on either side of the cut
+    for b in np.concatenate([np.logspace(-165, -150, 4001), -np.logspace(-165, -150, 4001)]):
+        _, _, w1, w2, _ = _eig2_sym(0.25, float(b), 0.25)
+        for w in (w1, w2):
+            assert abs(float(w @ w) - 1.0) <= 4 * math.ulp(1.0), (b, w)
 
 
 def test_spectral_rank_deficient_collapses_to_one_cluster():
