@@ -80,10 +80,19 @@ def threshold_select(
     return labels, mask
 
 
-def _bin_index(confidences: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    # Right-inclusive bins (lo, hi]; confidence 0.0 joins the first bin.
-    idx = np.digitize(confidences, edges, right=True) - 1
-    return np.clip(idx, 0, edges.size - 2)
+def _confidence_pairs(confidences, correct) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-length 1-d (confidence, correctness) vectors, confidences in [0, 1]."""
+    conf = np.asarray(confidences, dtype=np.float64)
+    corr = np.asarray(correct, dtype=bool)
+    if conf.ndim != 1 or conf.shape != corr.shape:
+        raise ValidationError(
+            f"confidences {conf.shape} and correctness {corr.shape} must be equal-length vectors"
+        )
+    if conf.size == 0:
+        raise DomainError("need at least one sample")
+    if not (conf.min() >= 0.0 and conf.max() <= 1.0):  # NaN fails both comparisons
+        raise DomainError("confidences must lie in [0, 1]")
+    return conf, corr
 
 
 def ece(confidences: np.ndarray, correct: np.ndarray, n_bins: int = 15) -> CalibrationReport:
@@ -92,30 +101,19 @@ def ece(confidences: np.ndarray, correct: np.ndarray, n_bins: int = 15) -> Calib
     ECE = sum_b (count_b / N) * |accuracy_b - confidence_b|; empty bins
     contribute nothing.
     """
-    conf = np.asarray(confidences, dtype=np.float64)
-    corr = np.asarray(correct, dtype=bool)
-    if conf.ndim != 1 or conf.shape != corr.shape:
-        raise ValidationError(
-            f"confidences {conf.shape} and correctness {corr.shape} must be equal-length vectors"
-        )
-    if conf.size == 0:
-        raise DomainError("cannot bin an empty sample set")
+    conf, corr = _confidence_pairs(confidences, correct)
     if n_bins < 1:
         raise DomainError(f"need at least one bin, got {n_bins}")
-    if conf.min() < 0.0 or conf.max() > 1.0:
-        raise DomainError("confidences must lie in [0, 1]")
     edges = np.linspace(0.0, 1.0, n_bins + 1)
-    idx = _bin_index(conf, edges)
+    # Right-inclusive bins (lo, hi]; confidence 0.0 joins the first bin.
+    idx = np.clip(np.digitize(conf, edges, right=True) - 1, 0, n_bins - 1)
     count = np.bincount(idx, minlength=n_bins)
     conf_sum = np.bincount(idx, weights=conf, minlength=n_bins)
     acc_sum = np.bincount(idx, weights=corr.astype(np.float64), minlength=n_bins)
-    with np.errstate(invalid="ignore"):
-        bin_conf = np.where(count > 0, conf_sum / np.maximum(count, 1), np.nan)
-        bin_acc = np.where(count > 0, acc_sum / np.maximum(count, 1), np.nan)
-    n = conf.size
-    occupied = count > 0
+    bin_conf = np.where(count > 0, conf_sum / np.maximum(count, 1), np.nan)
+    bin_acc = np.where(count > 0, acc_sum / np.maximum(count, 1), np.nan)
     total = math.fsum(
-        (count[b] / n) * abs(bin_acc[b] - bin_conf[b]) for b in np.nonzero(occupied)[0]
+        (count[b] / conf.size) * abs(bin_acc[b] - bin_conf[b]) for b in np.flatnonzero(count)
     )
     return CalibrationReport(
         n_bins=n_bins,
@@ -166,14 +164,13 @@ def threshold_sweep(
     """Selection rate and cumulative (>= tau) accuracy across thresholds.
 
     The accuracy entry is nan where nothing clears the threshold.
-    selection_rate is non-increasing in tau by construction.
+    selection_rate is non-increasing in tau by construction.  The pair is
+    checked as in ``ece``.
     """
-    conf = np.asarray(confidences, dtype=np.float64)
-    corr = np.asarray(correct, dtype=bool)
+    conf, corr = _confidence_pairs(confidences, correct)
     ts = np.asarray(taus, dtype=np.float64)
     keep = conf[None, :] >= ts[:, None]
     counts = keep.sum(axis=1)
     rate = counts / conf.size
-    with np.errstate(invalid="ignore"):
-        acc = np.where(counts > 0, (keep & corr[None, :]).sum(axis=1) / np.maximum(counts, 1), np.nan)
+    acc = np.where(counts > 0, (keep & corr[None, :]).sum(axis=1) / np.maximum(counts, 1), np.nan)
     return rate, acc

@@ -128,10 +128,10 @@ def embed(batch_stats: ProbabilityBatch, kind: str = "theory") -> EmbeddingMatri
 
 
 def _as_phi(phi) -> np.ndarray:
-    arr = phi.phi if isinstance(phi, EmbeddingMatrix) else np.asarray(phi, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != 2:
-        raise DomainError(f"phi must be (2, N), got {arr.shape}")
-    return arr
+    # EmbeddingMatrix holds the shape rule; the kind is not read here
+    if not isinstance(phi, EmbeddingMatrix):
+        phi = EmbeddingMatrix(np.asarray(phi, dtype=np.float64), "raw")
+    return phi.phi
 
 
 def _eig2_sym(a: float, b: float, c: float):
@@ -230,6 +230,8 @@ def cluster_statistics(phi, selection) -> ClusterStats:
     """
     arr = _as_phi(phi)
     a = np.asarray(selection)
+    if a.shape != arr.shape[1:]:
+        raise DomainError(f"selection must be ({arr.shape[1]},), got {a.shape}")
     mean = np.full((2, 2), np.nan)
     std = np.full((2, 2), np.nan)
     size = np.zeros(2, dtype=np.int64)

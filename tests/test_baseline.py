@@ -106,6 +106,8 @@ def test_ece_validation():
         ece(np.array([1.2]), np.array([1]))
     with pytest.raises(DomainError):
         ece(np.array([-0.1]), np.array([1]))
+    with pytest.raises(DomainError):
+        ece(np.array([np.nan, 0.5]), np.array([True, False]))
     with pytest.raises(ValidationError):
         ece(np.array([0.5, 0.6]), np.array([1]))
     with pytest.raises(DomainError):
@@ -198,6 +200,23 @@ def test_threshold_sweep_hand_values():
     np.testing.assert_allclose(rate, [0.75, 0.25, 0.0])
     np.testing.assert_allclose(acc[:2], [2.0 / 3.0, 1.0])
     assert math.isnan(acc[2])
+
+
+def test_threshold_sweep_validation():
+    # each pair raises what ece raises for it, without a warning
+    bad = [
+        ([0.9, 0.8, 0.7, 0.6], [True], ValidationError),  # no broadcast
+        ([[0.9, 0.8], [0.7, 0.6]], [[True, False], [True, False]], ValidationError),
+        ([0.9, np.nan], [True, False], DomainError),
+        ([0.9, 1.5], [True, False], DomainError),
+        ([-0.1, 0.9], [True, False], DomainError),
+        ([], [], DomainError),
+    ]
+    for conf, corr, error in bad:
+        with pytest.raises(error):
+            ece(conf, corr)
+        with pytest.raises(error):
+            threshold_sweep(conf, corr, [0.5, 0.75])
 
 
 def test_threshold_sweep_rate_non_increasing():

@@ -282,6 +282,13 @@ def test_cluster_statistics_empty_cluster():
     assert np.isnan(cs.mean[1]).all() and np.isnan(cs.std[1]).all()
 
 
+def test_cluster_statistics_rejects_a_selection_of_another_length():
+    with pytest.raises(DomainError, match=r"selection must be \(3,\), got \(2,\)"):
+        cluster_statistics(np.ones((2, 3)), [0, 1])
+    with pytest.raises(DomainError, match=r"phi must be \(2, N\), got \(3, 2\)"):
+        cluster_statistics(np.ones((3, 2)), [0, 1])
+
+
 def test_select_reliable_cluster_scoring():
     cs = ClusterStats(
         mean=np.array([[-0.1, -0.5], [-0.5, -0.1]]),
