@@ -99,8 +99,9 @@ python -m covar select --input wide.bin | python -c "$json_ok"
 # write the same bytes; the fixed-eps and paper-literal runs take the
 # decomposition's other branches, and grid's 100 x 100 surface is 10,000 rows.
 # The labels file must hold the report's true_label column, one per line
-labels_ok='import json, sys; col = [s["true_label"] for s in json.load(open("simulate.json"))["samples"]]
-sys.exit(open("big.txt").read() != "\n".join(map(str, col)) + "\n" and "big.txt is not the true_label column")'
+labels_ok='import json, pathlib, sys; read = lambda name: pathlib.Path(name).read_text()
+col = [s["true_label"] for s in json.loads(read("simulate.json"))["samples"]]
+sys.exit(read("big.txt") != "\n".join(map(str, col)) + "\n" and "big.txt is not the true_label column")'
 for d in run1 run2; do
   mkdir "$d"
   (
@@ -117,3 +118,15 @@ done
 (cd run1 && sha256sum big.csv big.txt simulate.json decompose.json decompose_fixed.json \
   decompose_literal.json select.json grid.csv) > big.sha256
 (cd run2 && sha256sum -c ../big.sha256)
+# the same matrix as CSV and in the binary container: decompose must write
+# the same report for both, but for input.source
+(
+  cd run1
+  python -m covar simulate --n 10000 --k 6 --out big.bin > /dev/null
+  python -m covar decompose --input big.bin > decompose_bin.json
+  python -c 'import json, sys
+csv, binary = (open(name).read() for name in ("decompose.json", "decompose_bin.json"))
+source = json.dumps("big.csv")
+if csv.count(source) != 1 or csv.replace(source, json.dumps("big.bin")) != binary:
+    sys.exit("decompose wrote different reports for big.csv and big.bin")'
+)

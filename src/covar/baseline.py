@@ -165,10 +165,14 @@ def threshold_sweep(
 
     The accuracy entry is nan where nothing clears the threshold.
     selection_rate is non-increasing in tau by construction.  The pair is
-    checked as in ``ece``.
+    checked as in ``ece``; taus must be a vector with no NaN.
     """
     conf, corr = _confidence_pairs(confidences, correct)
     ts = np.asarray(taus, dtype=np.float64)
+    if ts.ndim != 1:
+        raise ValidationError(f"taus must be a vector, got shape {ts.shape}")
+    if np.isnan(ts).any():
+        raise DomainError("taus must not be NaN")
     keep = conf[None, :] >= ts[:, None]
     counts = keep.sum(axis=1)
     rate = counts / conf.size

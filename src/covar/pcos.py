@@ -232,6 +232,8 @@ def cluster_statistics(phi, selection) -> ClusterStats:
     a = np.asarray(selection)
     if a.shape != arr.shape[1:]:
         raise DomainError(f"selection must be ({arr.shape[1]},), got {a.shape}")
+    if not ((a == 0) | (a == 1)).all():  # any other entry would drop its sample
+        raise DomainError("selection entries must be 0 or 1")
     mean = np.full((2, 2), np.nan)
     std = np.full((2, 2), np.nan)
     size = np.zeros(2, dtype=np.int64)

@@ -219,6 +219,20 @@ def test_threshold_sweep_validation():
             threshold_sweep(conf, corr, [0.5, 0.75])
 
 
+def test_threshold_sweep_takes_a_vector_of_taus():
+    conf, corr = [0.2, 0.9], [False, True]
+    with pytest.raises(ValidationError, match=r"taus must be a vector, got shape \(1, 2\)"):
+        threshold_sweep(conf, corr, [[0.5, 0.75]])
+    with pytest.raises(ValidationError, match=r"got shape \(\)"):
+        threshold_sweep(conf, corr, 0.5)
+
+
+def test_threshold_sweep_rejects_nan_taus():
+    # a NaN tau would read as "nothing kept"
+    with pytest.raises(DomainError, match="taus must not be NaN"):
+        threshold_sweep([0.2, 0.9], [False, True], [0.5, np.nan])
+
+
 def test_threshold_sweep_rate_non_increasing():
     rng = np.random.default_rng(23)
     conf = rng.random(200)

@@ -2,6 +2,7 @@
 (report sections) and of ``format_float`` (CSV matrices)."""
 from __future__ import annotations
 
+import math
 import sys
 import threading
 
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from covar import _floattext
-from covar.io import _CHUNK_ROWS, Columns, format_float, serialize_report
+from covar.cli import run_cli
+from covar.io import _CHUNK_ROWS, Columns, format_float, save_matrix, serialize_report
+from covar.simulator import SyntheticConfig, generate
 from oracles import report_rows
 
 STYLES = {"repr": (True, repr), "format_float": (False, format_float)}
@@ -41,6 +44,12 @@ def assert_exact(values):
         if got != want:  # name the first value that differs, not MBs of text
             bad = next(i for i, text in enumerate(got.splitlines()) if text != reference(floats[i]))
             pytest.fail(f"{name}: {floats[bad]!r} written as {got.splitlines()[bad]!r}")
+
+
+def field_texts(fields):
+    """The text of each NUL-padded field."""
+    lines = np.column_stack([fields, np.full(len(fields), ord("\n"), dtype=np.uint8)])
+    return lines.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
 
 
 def fallbacks(values, shortest):
@@ -99,6 +108,20 @@ def test_the_kernel_decides_short_decimals_and_uniform_values_itself():
         assert fallbacks(np.concatenate([k / 8, k / 1000, uniform]), shortest) == []
 
 
+def test_the_kernel_decides_exact_halves_and_ties_itself():
+    # y = |x| * 10**s, an exact product here, halfway between two integers
+    # (x = m / 4 in [2**50, 2**51), m odd), or an integer ending in 5
+    # halfway between two of repr's candidates (x = j / 64 in [2**36, 2**37),
+    # j odd)
+    rng = np.random.default_rng(31)
+    halves = (rng.integers(2**51, 2**52, 5000) * 2 + 1) / 4
+    ties = (rng.integers(2**41, 2**42, 5000) * 2 + 1) / 64
+    values = np.concatenate([halves, ties, -halves, -ties, [108300450064.42188]])
+    assert_exact(values)
+    for shortest in (True, False):
+        assert fallbacks(values, shortest) == []
+
+
 def test_values_outside_the_scaled_range_and_non_finite_ones_take_the_fallback():
     values = [5e-324, 0.0, 1e-300, 1e300, float("inf"), -0.0, float("nan"), 0.5, 1e300, 0.0]
     for shortest in (True, False):
@@ -106,6 +129,49 @@ def test_values_outside_the_scaled_range_and_non_finite_ones_take_the_fallback()
         assert sorted(map(repr, seen)) == ["-0.0", "0.0", "1e+300", "1e-300", "5e-324", "inf", "nan"]
     text = kernel_text(np.array([np.nan, np.inf, -np.inf, 2.5]), True, lambda x: "null")
     assert text == "null\nnull\nnull\n2.5\n"
+
+
+def test_a_call_of_any_length_gives_the_per_value_text():
+    # one call per length, not one per io chunk, so nothing sized to a
+    # chunk can cap what a call takes
+    rng = np.random.default_rng(30)
+    bits = rng.integers(0, 2**64, 80_000, dtype=np.uint64).view(np.float64)
+    floats = bits[np.isfinite(bits)][:70_000]
+    ints = rng.integers(-(2**63), 2**63, 70_000, dtype=np.int64) // 10 ** rng.integers(0, 19, 70_000)
+    assert len(floats) == 70_000
+    for n in (0, 1, 4095, 4096, 70_000):
+        for shortest, reference in STYLES.values():
+            fields = _floattext.float_fields(floats[:n], shortest, reference)
+            assert field_texts(fields) == list(map(reference, floats[:n].tolist()))
+        assert field_texts(_floattext.int_fields(ints[:n])) == list(map(str, ints[:n].tolist()))
+
+
+def test_report_columns_take_the_fallback_only_outside_the_scaled_range(tmp_path, monkeypatch, capsys):
+    # every float column of decompose and select on a bimodal batch: the
+    # kernel decides each common value itself, so only zeros, non-finite
+    # values and values outside (1e-280, 1e280) reach the per-value function
+    config = SyntheticConfig.uniform_priors(
+        20_000, 6, base_accuracy=0.75, overconfidence_temp=0.25, residual_mode="bimodal", seed=30
+    )
+    path = tmp_path / "m.bin"
+    save_matrix(generate(config)[0], path)
+    written, seen = [], []
+    real = _floattext.float_fields
+
+    def recording(values, shortest, fallback):
+        def recorded(x):
+            seen.append(x)
+            return fallback(x)
+
+        written.append(len(values))
+        return real(values, shortest, recorded)
+
+    monkeypatch.setattr(_floattext, "float_fields", recording)
+    for argv in (["decompose"], ["decompose", "--epsilon", "0.01"], ["decompose", "--paper-literal"], ["select"]):
+        assert run_cli([*argv, "--input", str(path)]) == 0
+    capsys.readouterr()
+    assert sum(written) == 20_000 * (3 * 11 + 4)
+    assert [x for x in seen if not (x == 0 or not math.isfinite(x) or not 1e-280 < abs(x) < 1e280)] == []
 
 
 def test_threads_write_what_one_thread_writes():

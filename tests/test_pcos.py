@@ -289,6 +289,15 @@ def test_cluster_statistics_rejects_a_selection_of_another_length():
         cluster_statistics(np.ones((3, 2)), [0, 1])
 
 
+def test_cluster_statistics_rejects_entries_other_than_0_and_1():
+    # each would leave its sample out of both clusters
+    for selection in ([0, 1, 2], [0, -1, 1], [0.0, 0.5, 1.0], [0.0, np.nan, 1.0]):
+        with pytest.raises(DomainError, match="selection entries must be 0 or 1"):
+            cluster_statistics(np.ones((2, 3)), selection)
+    cs = cluster_statistics(np.ones((2, 3)), np.array([True, False, True]))
+    np.testing.assert_array_equal(cs.size, [1, 2])
+
+
 def test_select_reliable_cluster_scoring():
     cs = ClusterStats(
         mean=np.array([[-0.1, -0.5], [-0.5, -0.1]]),
