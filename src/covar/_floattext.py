@@ -20,9 +20,10 @@ is 0 and the product is exact; otherwise it is off by at most about
   neighbour of x (half of the smaller gap below a power of two), and its
   ends count only for an even significand.  Take ``P``, the largest power
   of ten up to 1000 with a multiple inside the interval (the interval is
-  under 46 wide, so a multiple of a larger power inside is that same
+  at most 44 wide, so a multiple of a larger power inside is that same
   number); of the two multiples of ``P`` next to ``y`` the nearer one
-  inside wins, and its trailing zeros are dropped.
+  inside wins (at an exact tie, the even one), and its trailing zeros are
+  dropped.
 
 Every decision compares two integers, or a double with 0 or 0.5.  Where
 the product is exact, so are those doubles.  Where it is rounded, a value
@@ -34,13 +35,13 @@ So no digit depends on the margin being tight.
 Tables do the per-value work that depends on few inputs.  Everything
 that depends on x's binary exponent alone (``s``, the split ``10**s``,
 the scaled half gap, the exponent of the text) is read from tables
-indexed by it.  ``P`` and ``D mod P`` come from the interval's low end
-and ``D``, each mod 1000, through 1000-entry tables.  The halved gap below
-a power of two is computed only for those values, usually none.  The
-text is gathered from a 32-byte row per value (its digits, exponent, sign
-and the characters ``0.e``) through one layout per exponent, digit count
-and digit offset; the gather index is int32 unless a call is long enough
-to overflow it.
+indexed by it.  ``P`` comes from a table over the interval's low end mod
+1000 and its width, and ``D mod P`` from one over ``D`` mod 1000.  The
+halved gap below a power of two is computed only for those values,
+usually none.  The text is gathered from a 32-byte row per value (its
+digits, exponent, sign and the characters ``0.e``) through one layout per
+exponent, digit count and digit offset.  The gather index is intp: np.take
+would copy a narrower one to intp first.
 """
 
 from __future__ import annotations
@@ -142,12 +143,12 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
     z = (np.arange(10) == 0).astype(np.int64)
     zeros = (z * (1 + z[:, None] * (1 + z[:, None, None] * (1 + z[:, None, None, None])))).ravel()
     leading = (z[:, None, None, None] * (1 + z[:, None, None] * (1 + z[:, None] * (1 + z)))).ravel()
+    lead, lead_zero = (
+        (chars * (np.arange(4) >= m[:, None])).view(np.uint32)[:, 0] for m in (leading, np.minimum(leading, 3))
+    )
     exps = np.arange(-399, 400)
     signs = np.where(exps < 0, ord("-"), ord("+")).astype(np.uint8)
     exp_chars = np.column_stack([signs, chars[np.abs(exps), 1:]])
-    lead = (chars * (np.arange(4) >= leading[:, None])).astype(np.uint8).view(np.uint32)[:, 0]
-    lead_zero = lead.copy()
-    lead_zero[0] = chars.view(np.uint32)[0, 0] & np.frombuffer(b"\0\0\0\xff", dtype=np.uint32)[0]
     return chars.view(np.uint32)[:, 0], zeros, exp_chars.view(np.uint32)[:, 0], lead, lead_zero
 
 
@@ -201,7 +202,7 @@ def _layouts() -> np.ndarray:
         _NUL,
     )
     body = np.concatenate([fixed, expo])
-    seventeen = np.column_stack([np.full(len(body), _SIGN), body]).astype(np.int32)
+    seventeen = np.column_stack([np.full(len(body), _SIGN), body]).astype(np.intp)
     return np.stack([seventeen, seventeen - (seventeen < _ESIGN)], axis=1).reshape(-1, FLOAT_WIDTH)
 
 
@@ -293,7 +294,7 @@ def _rounded17(e, d, rho):
         q = d[at] // 10
         rem = d[at] - q * 10
         r = rho[at]
-        # rho is in (-0.5, 0.5): d is y rounded to units
+        # d is y rounded to units, half to even, so rem is not 5 where |rho| is 0.5
         up = (rem > 5) | ((rem == 5) & ((r > 0) | ((r == 0) & (q & 1 == 1))))
         d[at] = (q + up) * 10
         unsure[at] = (rem == 5) & (np.abs(r) < _MARGIN) & _ROUNDED.take(e[at])
@@ -309,14 +310,14 @@ def float_fields(values: np.ndarray, shortest: bool, fallback: Callable[[float],
     x = np.asarray(values, dtype=np.float64)
     bits = x.view(np.uint64) & _MAGNITUDE
     left = np.flatnonzero(bits - _INSIDE >= _WIDE)
-    bits[left] = _STAND_IN  # in range, and on no subset's path below
+    bits[left] = _STAND_IN  # 1/3 is in range, and its y takes no subset's path below
     e = (bits >> np.uint64(52)).view(np.int64)
     d, rho = _scaled(bits.view(np.float64), e)
     if shortest:
         c, unsure = _shortest(bits, e, d, rho)
     else:
         c, unsure = _rounded17(e, d, rho)
-    near = np.flatnonzero(np.abs(rho) > 0.5 - _MARGIN)  # D itself may be off by one
+    near = np.flatnonzero(np.abs(rho) > 0.5 - _MARGIN)  # a rounded product's D may be off by one
     unsure[near] |= _ROUNDED.take(e[near])
     unsure[left] = True
     # C has 17 or 18 digits; an 18th is a zero and adds one to the exponent
@@ -324,6 +325,8 @@ def float_fields(values: np.ndarray, shortest: bool, fallback: Callable[[float],
     zeros = _ZEROS4[groups[4]]
     at = np.flatnonzero(zeros == 4)
     for j in range(3, -1, -1):
+        if not len(at):
+            break
         more = _ZEROS4[groups[j, at]]
         zeros[at] += more
         at = at[more == 4]
@@ -335,9 +338,7 @@ def float_fields(values: np.ndarray, shortest: bool, fallback: Callable[[float],
     words[:, 6] = _CONST4
     src[:, _SIGN] = np.signbit(x).view(np.uint8) * np.uint8(ord("-"))
     index = _LAYOUTS.take(_KEY_LAYOUT[shortest].take(key), axis=0)
-    if src.size > np.iinfo(np.int32).max:
-        index = index.astype(np.intp)
-    index += np.arange(0, src.size, _SRC_WIDTH, dtype=index.dtype)[:, None]
+    index += np.arange(0, src.size, _SRC_WIDTH)[:, None]
     out = np.take(src.ravel(), index)
     # the rest, one fallback call per distinct value (zeros and non-finite ones repeat)
     redo = np.flatnonzero(unsure)
