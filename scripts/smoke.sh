@@ -124,8 +124,8 @@ done
   cd run1
   python -m covar simulate --n 10000 --k 6 --out big.bin > /dev/null
   python -m covar decompose --input big.bin > decompose_bin.json
-  python -c 'import json, sys
-csv, binary = (open(name).read() for name in ("decompose.json", "decompose_bin.json"))
+  python -c 'import json, pathlib, sys
+csv, binary = (pathlib.Path(name).read_text() for name in ("decompose.json", "decompose_bin.json"))
 source = json.dumps("big.csv")
 if csv.count(source) != 1 or csv.replace(source, json.dumps("big.bin")) != binary:
     sys.exit("decompose wrote different reports for big.csv and big.bin")'

@@ -93,7 +93,7 @@ def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # Per biased exponent E of |x|, so |x| is in [2**(E - 1023), 2**(E - 1022)).
 # Exponents outside (_TINY, _HUGE) never reach these tables.
-_E = np.clip(np.arange(2048), int(_INSIDE) >> 52, int(_INSIDE + _WIDE) >> 52)
+_E = np.clip(np.arange(2048, dtype=np.int64), int(_INSIDE) >> 52, int(_INSIDE + _WIDE) >> 52)
 _S = 16 - (((_E - 1023) * 78913) >> 18)  # floor((E - 1023) * log10(2)) for |E - 1023| < 1650
 _HI, _LO = (table[_S - _S_MIN] for table in _powers_of_ten())
 _HH, _HL = _split(_HI)
@@ -106,10 +106,11 @@ def _half_gaps() -> tuple[np.ndarray, ...]:
     two, half as wide."""
     u = ((_E - 53) << 52).view(np.float64)  # half an ulp of x, a power of two
     hh, hl = u * _HI, u * _LO  # both exact
-    whole = np.rint(hh)
-    half_hh = hh * 0.5
-    half_whole = np.rint(half_hh)
-    return whole.astype(np.int64), (hh - whole) + hl, half_whole.astype(np.int64), (half_hh - half_whole) + hl * 0.5
+    gaps = []
+    for scale in (1.0, 0.5):
+        whole = np.rint(hh * scale)
+        gaps += [whole.astype(np.int64), (hh * scale - whole) + hl * scale]
+    return tuple(gaps)
 
 
 _GAP_INT, _GAP, _GAP2_INT, _GAP2 = _half_gaps()
@@ -144,7 +145,8 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
     zeros = (z * (1 + z[:, None] * (1 + z[:, None, None] * (1 + z[:, None, None, None])))).ravel()
     leading = (z[:, None, None, None] * (1 + z[:, None, None] * (1 + z[:, None] * (1 + z)))).ravel()
     lead, lead_zero = (
-        (chars * (np.arange(4) >= m[:, None])).view(np.uint32)[:, 0] for m in (leading, np.minimum(leading, 3))
+        (chars * (np.arange(4) >= m[:, None])).view(np.uint32)[:, 0]
+        for m in (leading, np.minimum(leading, 3))
     )
     exps = np.arange(-399, 400)
     signs = np.where(exps < 0, ord("-"), ord("+")).astype(np.uint8)
@@ -196,11 +198,10 @@ def _layouts() -> np.ndarray:
     n, three = np.divmod(np.arange(34), 2)
     n, three = n[:, None] + 1, three[:, None]
     tail = i - np.where(n > 1, n + 1, 1)
-    expo = np.select(
-        [i == 0, (i == 1) & (n > 1), (i >= 2) & (i <= n), tail == 0, tail == 1, (tail >= 2) & (tail < 4 + three)],
-        [_D0, _DOT, _D0 + i - 1, _E_CHAR, _ESIGN, _ESIGN + tail - three],
-        _NUL,
-    )
+    at_digits = [i == 0, (i == 1) & (n > 1), (i >= 2) & (i <= n)]
+    at_tail = [tail == 0, tail == 1, (tail >= 2) & (tail < 4 + three)]
+    sources = [_D0, _DOT, _D0 + i - 1, _E_CHAR, _ESIGN, _ESIGN + tail - three]
+    expo = np.select(at_digits + at_tail, sources, _NUL)
     body = np.concatenate([fixed, expo])
     seventeen = np.column_stack([np.full(len(body), _SIGN), body]).astype(np.intp)
     return np.stack([seventeen, seventeen - (seventeen < _ESIGN)], axis=1).reshape(-1, FLOAT_WIDTH)

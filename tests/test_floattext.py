@@ -167,8 +167,9 @@ def test_report_columns_take_the_fallback_only_outside_the_scaled_range(tmp_path
         return real(values, shortest, recorded)
 
     monkeypatch.setattr(_floattext, "float_fields", recording)
-    for argv in (["decompose"], ["decompose", "--epsilon", "0.01"], ["decompose", "--paper-literal"], ["select"]):
-        assert run_cli([*argv, "--input", str(path)]) == 0
+    for flags in (["decompose"], ["decompose", "--epsilon", "0.01"], ["decompose", "--paper-literal"]):
+        assert run_cli([*flags, "--input", str(path)]) == 0
+    assert run_cli(["select", "--input", str(path)]) == 0
     capsys.readouterr()
     assert sum(written) == 20_000 * (3 * 11 + 4)
     assert [x for x in seen if not (x == 0 or not math.isfinite(x) or not 1e-280 < abs(x) < 1e280)] == []
