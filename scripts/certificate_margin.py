@@ -13,6 +13,7 @@ import argparse
 import numpy as np
 
 from covar import EpsilonPolicy, ProbabilityBatch, decompose_sample
+from covar.errors import DomainError
 
 
 def spiked_row(k: int, p: float, a: float) -> np.ndarray:
@@ -29,11 +30,15 @@ def main() -> None:
     ap.add_argument("--k", type=int, default=6)
     ap.add_argument("--fixed-eps", type=float, default=0.01)
     args = ap.parse_args()
+    if args.k < 3:  # spiked_row spreads the rest of the residual mass over K - 2 classes
+        ap.error(f"--k must be at least 3, got {args.k}")
+    try:
+        fixed = EpsilonPolicy.fixed(args.fixed_eps)
+        fixed.resolve(0.0, args.k)  # checks the bound 1/(K-1) for this K
+    except DomainError as exc:
+        ap.error(f"--fixed-eps: {exc}")
 
-    policies = {
-        "adaptive": EpsilonPolicy.adaptive(),
-        f"fixed={args.fixed_eps:g}": EpsilonPolicy.fixed(args.fixed_eps),
-    }
+    policies = {"adaptive": EpsilonPolicy.adaptive(), f"fixed={args.fixed_eps:g}": fixed}
     print(f"# K = {args.k}; remainder |R| vs certified bound C v^1.5")
     header = f"{'p':>5} {'rho':>5} {'rcv':>10}"
     for name in policies:

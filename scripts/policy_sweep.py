@@ -20,9 +20,10 @@ from covar import (
     evaluate_policies,
     generate,
 )
+from covar.errors import CovarError
 
 
-def parse_args() -> argparse.Namespace:
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, default=20, help="number of seeds")
     ap.add_argument("--n", type=int, default=10_000)
@@ -34,27 +35,38 @@ def parse_args() -> argparse.Namespace:
         "--taus", type=float, nargs="+", default=[0.90, 0.95, 0.99],
         help="fixed thresholds to evaluate",
     )
-    return ap.parse_args()
+    return ap
 
 
 def main() -> None:
-    args = parse_args()
-    policies = [ThresholdPolicy(tau=t) for t in args.taus] + [CovarPolicy()]
+    ap = build_parser()
+    args = ap.parse_args()
+    if args.seeds < 1:
+        ap.error(f"--seeds must be at least 1, got {args.seeds}")
+    if args.n < 2:  # the covar policy splits the batch in two
+        ap.error(f"--n must be at least 2, got {args.n}")
+    try:  # the library checks the other arguments
+        policies = [ThresholdPolicy(tau=t) for t in args.taus] + [CovarPolicy()]
+        configs = [
+            SyntheticConfig.uniform_priors(
+                args.n,
+                args.k,
+                base_accuracy=args.accuracy,
+                overconfidence_temp=args.temp,
+                residual_mode=args.residual,
+                seed=seed,
+            )
+            for seed in range(args.seeds)
+        ]
+    except CovarError as exc:
+        ap.error(str(exc))
     names = [f"fixed-tau={t:g}" for t in args.taus] + ["covar-pcos"]
 
     acc = {name: [] for name in names}
     wacc = {name: [] for name in names}
     cover = {name: [] for name in names}
     t0 = time.perf_counter()
-    for seed in range(args.seeds):
-        config = SyntheticConfig.uniform_priors(
-            args.n,
-            args.k,
-            base_accuracy=args.accuracy,
-            overconfidence_temp=args.temp,
-            residual_mode=args.residual,
-            seed=seed,
-        )
+    for config in configs:
         batch, y = generate(config)
         for name, ev in zip(names, evaluate_policies(batch, y, policies)):
             acc[name].append(ev.selected_accuracy)

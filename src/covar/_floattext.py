@@ -1,6 +1,6 @@
-"""Decimal text of numpy arrays, vectorized: floats exactly as ``repr``
-or as ``format(x, ".17g")`` with ``.0`` on integral values, integers and
-bools as JSON writes them.
+"""Decimal text of numpy arrays, vectorized: floats exactly as
+``format(x, ".17g")`` with ``.0`` on integral values, integers and bools
+as JSON writes them.
 
 Each value becomes one row of a uint8 array: its text, padded with NUL
 bytes to the width of its kind.  The caller lays fields and literal text
@@ -12,18 +12,8 @@ a Dekker product of |x| with the double nearest ``10**s``, plus |x| times
 the double nearest the rest of ``10**s``.  For ``0 <= s <= 22`` that rest
 is 0 and the product is exact; otherwise it is off by at most about
 ``y * 2**-104``, under ``2**-46``.  ``y`` is held as an integer ``D`` plus
-``rho`` in [-0.5, 0.5].
-
-* ``%.17g`` rounds ``y`` to 17 digits (half to even).
-* ``repr`` picks the shortest decimal inside x's rounding interval, as
-  David Gay's shortest mode does: the interval reaches half a gap to each
-  neighbour of x (half of the smaller gap below a power of two), and its
-  ends count only for an even significand.  Take ``P``, the largest power
-  of ten up to 1000 with a multiple inside the interval (the interval is
-  at most 44 wide, so a multiple of a larger power inside is that same
-  number); of the two multiples of ``P`` next to ``y`` the nearer one
-  inside wins (at an exact tie, the even one), and its trailing zeros are
-  dropped.
+``rho`` in [-0.5, 0.5], and rounded to 17 digits (half to even): an 18th
+digit is rounded away at the tens.
 
 Every decision compares two integers, or a double with 0 or 0.5.  Where
 the product is exact, so are those doubles.  Where it is rounded, a value
@@ -34,14 +24,11 @@ So no digit depends on the margin being tight.
 
 Tables do the per-value work that depends on few inputs.  Everything
 that depends on x's binary exponent alone (``s``, the split ``10**s``,
-the scaled half gap, the exponent of the text) is read from tables
-indexed by it.  ``P`` comes from a table over the interval's low end mod
-1000 and its width, and ``D mod P`` from one over ``D`` mod 1000.  The
-halved gap below a power of two is computed only for those values,
-usually none.  The text is gathered from a 32-byte row per value (its
-digits, exponent, sign and the characters ``0.e``) through one layout per
-exponent, digit count and digit offset.  The gather index is intp: np.take
-would copy a narrower one to intp first.
+the exponent of the text) is read from tables indexed by it.  The text
+is gathered from a 32-byte row per value (its digits, exponent, sign and
+the characters ``0.e``) through one layout per exponent, digit count and
+digit offset.  The gather index is intp: np.take would copy a narrower
+one to intp first.
 """
 
 from __future__ import annotations
@@ -58,7 +45,6 @@ _MARGIN = 2.0**-30
 _TINY, _HUGE = 1e-280, 1e280
 _S_MIN, _S_MAX = -265, 300  # 10**s for every |x| in (_TINY, _HUGE)
 _MAGNITUDE = np.uint64(0x7FFF_FFFF_FFFF_FFFF)
-_FRACTION = np.uint64(0x000F_FFFF_FFFF_FFFF)
 # |x| is inside (_TINY, _HUGE) when its bits less _INSIDE are below _WIDE
 _INSIDE = np.float64(_TINY).view(np.uint64) + np.uint64(1)
 _WIDE = np.float64(_HUGE).view(np.uint64) - _INSIDE
@@ -98,38 +84,6 @@ _S = 16 - (((_E - 1023) * 78913) >> 18)  # floor((E - 1023) * log10(2)) for |E -
 _HI, _LO = (table[_S - _S_MIN] for table in _powers_of_ten())
 _HH, _HL = _split(_HI)
 _ROUNDED = _LO != 0  # the product is rounded, so its decisions keep a margin
-
-
-def _half_gaps() -> tuple[np.ndarray, ...]:
-    """Half the gap to x's neighbours, scaled like y, as an integer plus a
-    double in [-0.5, 0.5]; then the same for the gap below a power of
-    two, half as wide."""
-    u = ((_E - 53) << 52).view(np.float64)  # half an ulp of x, a power of two
-    hh, hl = u * _HI, u * _LO  # both exact
-    gaps = []
-    for scale in (1.0, 0.5):
-        whole = np.rint(hh * scale)
-        gaps += [whole.astype(np.int64), (hh * scale - whole) + hl * scale]
-    return tuple(gaps)
-
-
-_GAP_INT, _GAP, _GAP2_INT, _GAP2 = _half_gaps()
-
-
-def _nearest_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For the interval [low, low + width], under 45 wide, at ``64 * (low
-    mod 1000) + width``: ``1024 * k + (low mod 1000)``, with k the number
-    of powers 10, 100, 1000 with a multiple inside.  Then, at that plus
-    ``D - low`` (0 to 22), D mod 10**k and 10**k."""
-    k = np.zeros((1000, 65), dtype=np.int16)
-    for p in (10, 100, 1000):  # a multiple of p is inside from this width on
-        k[np.arange(1000), np.minimum(-np.arange(1000) % p, 64)] += 1024
-    near = np.cumsum(k[:, :64], axis=1, dtype=np.int16) + np.arange(1000, dtype=np.int16)[:, None]
-    rest = np.arange(1024) % 10 ** np.arange(4)[:, None]
-    return near.ravel(), rest.ravel(), np.repeat(10 ** np.arange(4), 1024)
-
-
-_NEAR, _REST, _POWER = _nearest_tables()
 
 
 def _digit_tables() -> tuple[np.ndarray, ...]:
@@ -210,22 +164,19 @@ def _layouts() -> np.ndarray:
 _LAYOUTS = _layouts()
 
 
-def _key_tables() -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+def _key_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A value's key is ``_KEY_BASE[E] + 19 * (C has 18 digits) - (C's
     trailing zeros)``: 36 keys per exponent ``16 - s``, for 17 and 18
     digits of C and 18 digit counts.  Per key, the exponent word of the
-    text and, for %.17g and for repr, the layout."""
+    text and the layout."""
     e0 = np.arange(16 - _S_MAX, 17 - _S_MIN)[:, None]
     eighteen, n = np.divmod(np.arange(36), 18)
     n = np.minimum(n + 1, 17)  # 18 digits with no trailing zero never occur
     exp = e0 + eighteen
     exp_layout = 2 * (len(_FIXED_EXPS) * 17 + 2 * (n - 1) + (np.abs(exp) >= 100)) + eighteen
     fixed_layout = 2 * ((exp - _FIXED_EXPS[0]) * 17 + n - 1) + eighteen
-    # repr writes exponents -4..15 in fixed notation, %.17g -4..16
-    layouts = tuple(
-        np.where((exp >= -4) & (exp <= last), fixed_layout, exp_layout).ravel() for last in (16, 15)
-    )
-    return 36 * (16 - _S - e0[0]) + 16, _EXP4[exp + 399].ravel(), layouts
+    layout = np.where((exp >= _FIXED_EXPS[0]) & (exp <= _FIXED_EXPS[-1]), fixed_layout, exp_layout)
+    return 36 * (16 - _S - e0[0]) + 16, _EXP4[exp + 399].ravel(), layout.ravel()
 
 
 _KEY_BASE, _KEY_EXP4, _KEY_LAYOUT = _key_tables()
@@ -243,82 +194,28 @@ def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ph.astype(np.int64) + r.astype(np.int64), pl - r
 
 
-def _shortest(bits, e, d, rho):
-    """repr's digits as an integer C, with C * 10**-s the decimal, and
-    which values this cannot decide."""
-    gap_int, gap = _GAP_INT.take(e), _GAP.take(e)
-    t = rho - gap  # the interval's low end is d - gap_int + t
-    w = rho + gap  # and its high end d + gap_int + w
-    low = d - gap_int + (t > 0)
-    high = d + gap_int - (w < 0)
-    two = np.flatnonzero((bits & _FRACTION) == 0)  # below a power of two the gap is half as wide
-    if len(two):
-        e2 = e[two]
-        t[two] = rho[two] - _GAP2.take(e2)
-        low[two] = d[two] - _GAP2_INT.take(e2) + (t[two] > 0)
-    # the interval's ends belong only to an even significand; near an end,
-    # a rounded product cannot tell
-    unsure = np.zeros(len(d), dtype=bool)
-    ends = np.flatnonzero((np.abs(t) <= _MARGIN) | (np.abs(w) <= _MARGIN))
-    if len(ends):
-        odd = (bits[ends] & np.uint64(1)).astype(bool)
-        te, we = t[ends], w[ends]
-        low[ends] += (te == 0) & odd
-        high[ends] -= (we == 0) & odd
-        unsure[ends] = _ROUNDED.take(e[ends]) & ((np.abs(te) < _MARGIN) | (np.abs(we) < _MARGIN))
-    # k, the largest power of ten up to 1000 with a multiple in [low, high],
-    # from low mod 1000 and the width; then D mod 10**k
-    width = high - low
-    key = _NEAR.take((low - low // 1000 * 1000) * 64 + width) + (d - low)
-    rest, p = _REST.take(key), _POWER.take(key)
-    twice = rest + rest
-    up = twice + (rho > 0) > p  # to the nearer multiple; at a tie, up if rho > 0
-    base = d - rest
-    c = base + p * (up | (base < low))  # the nearer multiple inside
-    tie = np.flatnonzero((twice == p) & (np.abs(rho) <= _MARGIN))  # y halfway, or too near it
-    if len(tie):
-        rounded = _ROUNDED.take(e[tie])
-        unsure[tie] |= rounded
-        # an exact tie goes to the even multiple, as repr's last digit does
-        at = tie[~rounded & (rho[tie] == 0)]
-        c[at] = base[at] + p[at] * ((base[at] // p[at] & 1) | (base[at] < low[at]))
-    unsure |= (c - low).view(np.uint64) > width.view(np.uint64)  # c outside [low, high]
-    return c, unsure
-
-
-def _rounded17(e, d, rho):
-    """%.17g's digits as an integer C, with C * 10**-s the decimal, and
-    which values this cannot decide."""
-    unsure = np.zeros(len(d), dtype=bool)
-    at = np.flatnonzero(d >= _P17)  # 18 digits: round at the tens
-    if len(at):
-        q = d[at] // 10
-        rem = d[at] - q * 10
-        r = rho[at]
-        # d is y rounded to units, half to even, so rem is not 5 where |rho| is 0.5
-        up = (rem > 5) | ((rem == 5) & ((r > 0) | ((r == 0) & (q & 1 == 1))))
-        d[at] = (q + up) * 10
-        unsure[at] = (rem == 5) & (np.abs(r) < _MARGIN) & _ROUNDED.take(e[at])
-    return d, unsure
-
-
-def float_fields(values: np.ndarray, shortest: bool, fallback: Callable[[float], str]) -> np.ndarray:
-    """Each value's text, ``repr``'s if ``shortest`` else ``%.17g`` with
-    ``.0`` on integral values, as NUL-padded rows of FLOAT_WIDTH bytes.
-    Values the kernel leaves get ``fallback(float(value))``.  One pass
-    holds a few hundred bytes of scratch per value, so callers pass a
-    few thousand values at a time."""
+def float_fields(values: np.ndarray, fallback: Callable[[float], str]) -> np.ndarray:
+    """Each value's text, ``%.17g`` with ``.0`` on integral values, as
+    NUL-padded rows of FLOAT_WIDTH bytes.  Values the kernel leaves get
+    ``fallback(float(value))``.  One pass holds a few hundred bytes of
+    scratch per value, so callers pass a few thousand values at a time."""
     x = np.asarray(values, dtype=np.float64)
     bits = x.view(np.uint64) & _MAGNITUDE
     left = np.flatnonzero(bits - _INSIDE >= _WIDE)
     bits[left] = _STAND_IN  # 1/3 is in range, and its y takes no subset's path below
     e = (bits >> np.uint64(52)).view(np.int64)
-    d, rho = _scaled(bits.view(np.float64), e)
-    if shortest:
-        c, unsure = _shortest(bits, e, d, rho)
-    else:
-        c, unsure = _rounded17(e, d, rho)
-    near = np.flatnonzero(np.abs(rho) > 0.5 - _MARGIN)  # a rounded product's D may be off by one
+    c, rho = _scaled(bits.view(np.float64), e)  # y as D + rho; D is rounded to C in place
+    unsure = np.zeros(len(x), dtype=bool)
+    at = np.flatnonzero(c >= _P17)  # 18 digits: round at the tens
+    if len(at):
+        q = c[at] // 10
+        rem = c[at] - q * 10
+        r = rho[at]
+        # C is y rounded to units, half to even, so rem is not 5 where |rho| is 0.5
+        up = (rem > 5) | ((rem == 5) & ((r > 0) | ((r == 0) & (q & 1 == 1))))
+        c[at] = (q + up) * 10
+        unsure[at] = (rem == 5) & (np.abs(r) < _MARGIN) & _ROUNDED.take(e[at])
+    near = np.flatnonzero(np.abs(rho) > 0.5 - _MARGIN)  # a rounded product's C may be off by one
     unsure[near] |= _ROUNDED.take(e[near])
     unsure[left] = True
     # C has 17 or 18 digits; an 18th is a zero and adds one to the exponent
@@ -338,7 +235,7 @@ def float_fields(values: np.ndarray, shortest: bool, fallback: Callable[[float],
     words[:, 5] = _KEY_EXP4.take(key)
     words[:, 6] = _CONST4
     src[:, _SIGN] = np.signbit(x).view(np.uint8) * np.uint8(ord("-"))
-    index = _LAYOUTS.take(_KEY_LAYOUT[shortest].take(key), axis=0)
+    index = _LAYOUTS.take(_KEY_LAYOUT.take(key), axis=0)
     index += np.arange(0, src.size, _SRC_WIDTH)[:, None]
     out = np.take(src.ravel(), index)
     # the rest, one fallback call per distinct value (zeros and non-finite ones repeat)

@@ -8,25 +8,29 @@ name, in any case, is CSV and any other name is binary.
 * A binary container: magic ``COVR``, version byte 0x01, two u32 fields
   N and K, then N*K float64 values row-major; everything little-endian.
 
-Reports are compact JSON (no whitespace, keys in insertion order) from
-the standard library encoder, which writes each float as the shortest
-decimal that parses back to the same float64.  So serialize -> parse is
-value-lossless and parse -> serialize is byte-identical.  A per-sample
-section is held as :class:`Columns`.  One encoder call writes the whole
-report, with each section as a placeholder string; the writer then
-writes the text between placeholders and, in place of each, its section
-as a list of one object per row, a few thousand rows at a time, in the
-same text the encoder would give a list of per-row dicts.
+Reports are compact JSON (no whitespace, keys in insertion order).  A
+per-sample section is held as :class:`Columns`.  One standard library
+encoder call writes the whole report, with each section as a placeholder
+string; the writer then writes the text between placeholders and, in
+place of each, its section as a list of one object per row, a few
+thousand rows at a time.  A section's floats are written as
+:func:`format_float` writes them (null where a nullable column is not
+finite), and every other float as the encoder writes it, as ``repr``
+does.  Both forms parse back to the same float64, so serialize -> parse
+is value-lossless, and a report with no section re-serializes
+byte-identically.  Floats outside sections keep ``repr``: writing them
+as :func:`format_float` would take a pass of its own over the document
+before the encoder, with its own check for reference cycles, which is
+more code than one float style saves.
 
 One generator writes the rows of a report section, a CSV matrix and the
 ``grid`` command's CSV, 4,096 rows at a time, each chunk as one byte
 image: each value's text fills a NUL-padded field between the separators,
 and the NULs are then dropped.  It takes the columns in blocks of rows, so
 ``grid`` builds its surface a chunk at a time.  :mod:`covar._floattext`
-writes the digits: a float exactly as ``repr`` does in a report and as
-:func:`format_float` does in CSV, an integer or bool as JSON does; the rare
-float it cannot decide, a zero and a non-finite one (null in a report) are
-done one by one.
+writes the digits: a float as :func:`format_float` does, an integer or
+bool as JSON does; the rare float it cannot decide, a zero and a
+non-finite one (null) are done one by one.
 
 A text matrix or labels file, which must be a regular file, goes through
 one reader: line 1 is checked as the header (a CSV matrix must have one, a
@@ -264,7 +268,7 @@ def save_labels(labels: np.ndarray, path: str | Path) -> None:
     values = np.asarray(labels, dtype=np.int64)
     with open(path, "w", encoding="utf-8") as fh:
         # no labels is one empty line
-        fh.writelines(_text_chunks([[values]], ["", "\n"], False) if len(values) else ["\n"])
+        fh.writelines(_text_chunks([[values]], ["", "\n"]) if len(values) else ["\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -311,34 +315,33 @@ class Columns:
         keys = [json.dumps(name) for name in self.columns]
         # each row starts with the comma that separates it from the one before
         literals = [",{" + keys[0] + ":", *[f",{key}:" for key in keys[1:]], "}"]
-        chunks = _text_chunks([list(self.columns.values())], literals, True)
+        chunks = _text_chunks([list(self.columns.values())], literals)
         yield "[" + next(chunks, ",")[1:]
         yield from chunks
         yield "]"
 
 
 def _json_float(x: float) -> str:
-    return repr(x) if math.isfinite(x) else "null"
+    return format_float(x) if math.isfinite(x) else "null"
 
 
-def _text_chunks(blocks: Iterable[list[np.ndarray]], literals: list[str], shortest: bool) -> Iterator[str]:
+def _text_chunks(blocks: Iterable[list[np.ndarray]], literals: list[str]) -> Iterator[str]:
     """The rows of blocks of columns as text, at most ``_CHUNK_ROWS`` rows at a time.
 
     A row is ``literals[0]``, its value in column 0, ``literals[1]``, ...,
-    ``literals[-1]``.  Floats are written as ``repr`` writes them (null if
-    not finite) if ``shortest``, else as :func:`format_float` writes them;
+    ``literals[-1]``.  Floats are written as :func:`format_float` writes
+    them, null if not finite (only a report section holds such values);
     integers and bools as JSON writes them.  A chunk's byte image is one
     concatenation of literals and NUL-padded value fields, with the NULs dropped.
     """
     from . import _floattext
 
-    fallback = _json_float if shortest else format_float
     heads = [np.frombuffer(literal.encode("ascii"), dtype=np.uint8) for literal in literals]
     for block in blocks:
         for start in range(0, len(block[0]), _CHUNK_ROWS):
             parts = [col[start : start + _CHUNK_ROWS] for col in block]
             fields = [
-                _floattext.float_fields(part, shortest, fallback) if part.dtype.kind == "f"
+                _floattext.float_fields(part, _json_float) if part.dtype.kind == "f"
                 else _floattext.bool_fields(part) if part.dtype.kind == "b"
                 else _floattext.int_fields(part)
                 for part in parts
@@ -351,7 +354,7 @@ def _text_chunks(blocks: Iterable[list[np.ndarray]], literals: list[str], shorte
 def _csv_chunks(names: list[str], blocks: Iterable[list[np.ndarray]]) -> Iterator[str]:
     """CSV text: the header line of ``names``, then the rows of each block of columns."""
     yield ",".join(names) + "\n"
-    yield from _text_chunks(blocks, ["", *[","] * (len(names) - 1), "\n"], False)
+    yield from _text_chunks(blocks, ["", *[","] * (len(names) - 1), "\n"])
 
 
 def _check_keys(obj: Any) -> None:

@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 
 from covar.stats import ProbabilityBatch
 
-hypothesis.settings.register_profile("fast", max_examples=25)
 hypothesis.settings.register_profile("ci", max_examples=200, deadline=None)
 hypothesis.settings.register_profile(
     "default", max_examples=60, deadline=None

@@ -12,17 +12,21 @@ hand:
   :func:`brute_force_partition`: the grouping objective of a bipartition
   and its exhaustive maximizer (N <= 20);
 * :func:`report_rows`: a per-sample report section as one dict per row,
-  the document a streamed :class:`covar.io.Columns` section must encode
-  to.
+  the values a streamed :class:`covar.io.Columns` section must hold;
+  :func:`report_text`: the text a report must have, written value by
+  value, and :func:`report_values`: a report's values, to compare bit
+  for bit.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from covar.errors import DomainError, InfiniteCrossEntropyError
+from covar.io import format_float
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -198,7 +202,11 @@ def brute_force_partition(phi) -> np.ndarray:
 # report sections
 
 
-def report_rows(columns: dict, nullable=()) -> list[dict]:
+class Rows(list):
+    """A report section as :func:`report_rows` gives it."""
+
+
+def report_rows(columns: dict, nullable=()) -> Rows:
     """One dict per row with one key per column, in column order; the
     non-finite values of a ``nullable`` column become None.  Takes the
     arguments of :class:`covar.io.Columns`."""
@@ -208,4 +216,28 @@ def report_rows(columns: dict, nullable=()) -> list[dict]:
         if name in nullable:
             column = [x if math.isfinite(x) else None for x in map(float, column)]
         values.append(column)
-    return [dict(zip(columns, row)) for row in zip(*values)]
+    return Rows(dict(zip(columns, row)) for row in zip(*values))
+
+
+def report_text(doc: dict) -> str:
+    """A report's text: compact JSON with keys in insertion order, each
+    float in a :class:`Rows` section as ``format_float`` writes it and
+    every other value, numpy scalars as Python ones, as ``json.dumps``
+    writes it."""
+
+    def text(obj, float_text) -> str:
+        if isinstance(obj, dict):
+            return "{" + ",".join(f"{json.dumps(k)}:{text(v, float_text)}" for k, v in obj.items()) + "}"
+        if isinstance(obj, (list, tuple)):
+            inner = format_float if isinstance(obj, Rows) else float_text
+            return "[" + ",".join(text(v, inner) for v in obj) + "]"
+        obj = obj.item() if isinstance(obj, np.generic) else obj
+        return float_text(obj) if isinstance(obj, float) else json.dumps(obj)
+
+    return text(doc, json.dumps) + "\n"
+
+
+def report_values(text: str):
+    """A report's document with each float as its ``float.hex``, so that
+    values compare bit for bit (-0.0 is not 0.0)."""
+    return json.loads(text, parse_float=lambda s: float(s).hex())

@@ -26,7 +26,7 @@ from covar.io import format_float, load_labels, load_matrix, matrix_digest, pars
 from covar.pcos import DEFAULT_LAMBDA
 from covar.simulator import CovarPolicy, SyntheticConfig, evaluate_policies, generate
 from covar.stats import ProbabilityBatch
-from oracles import report_rows
+from oracles import report_rows, report_text, report_values
 
 
 def run_python(*args, timeout=None, stdin=None) -> subprocess.CompletedProcess:
@@ -499,10 +499,24 @@ def test_streamed_report_equals_per_row_dict_report(
         "ece": ("--input", str(matrix_csv), "--labels", str(labels_file), "--bins", str(n)),
     }
     argv = (*argv, *extra.get(argv[0], ("--input", str(sized_matrices[n]))))
-    streamed = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
+    docs = []
+    real = cli.write_report
+
+    def recording(doc, stream):
+        docs.append(doc)
+        real(doc, stream)
+
     monkeypatch.setattr(cli, "Columns", report_rows)
-    same = run(capsys, *argv) == streamed  # not asserted inline: a diff of MBs of text is slow
-    assert same and streamed[0] == (2 if argv[0] == "select" and n == 1 else 0)
+    monkeypatch.setattr(cli, "write_report", recording)
+    rows = run(capsys, *argv)
+    assert (rows[0], rows[2]) == (code, err) and code == (2 if argv[0] == "select" and n == 1 else 0)
+    # the per-row dicts' values, bit for bit, in the per-row text; not asserted
+    # inline: a diff of MBs of text is slow
+    same = out == rows[1] == "" if code else (
+        report_values(out) == report_values(rows[1]) and out == report_text(docs[0])
+    )
+    assert same
 
 
 def test_report_reaches_stdout_a_chunk_at_a_time(monkeypatch, sized_matrices):
@@ -800,3 +814,23 @@ def test_bad_label_and_text_files_exit_2(capsys, matrix_csv, labels_file, tmp_pa
         path.write_bytes(content)
         code, out, err = run(capsys, "decompose", "--input", str(path))
         assert (code, out) == (2, "") and f"{path}{message}" in err
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("certificate_margin.py", ("--k", "2")),
+        ("certificate_margin.py", ("--k", "1")),
+        ("certificate_margin.py", ("--fixed-eps", "0.6", "--k", "3")),
+        ("policy_sweep.py", ("--seeds", "0")),
+        ("policy_sweep.py", ("--n", "1")),
+    ],
+)
+def test_experiment_scripts_reject_arguments_they_cannot_serve(script, args):
+    # a usage error, exit 2, also where every warning is an error, as in CI
+    proc = run_python("-W", "error", str(SCRIPTS / script), *args, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "usage:" in proc.stderr and "Traceback" not in proc.stderr

@@ -1,5 +1,5 @@
-"""The vectorized float-to-text kernel writes exactly the text of ``repr``
-(report sections) and of ``format_float`` (CSV matrices)."""
+"""The vectorized float-to-text kernel writes exactly the text of
+``format_float`` (report sections, CSV matrices and ``grid``)."""
 from __future__ import annotations
 
 import math
@@ -16,21 +16,19 @@ from covar import _floattext
 from covar.cli import run_cli
 from covar.io import _CHUNK_ROWS, Columns, format_float, save_matrix, serialize_report
 from covar.simulator import SyntheticConfig, generate
-from oracles import report_rows
-
-STYLES = {"repr": (True, repr), "format_float": (False, format_float)}
+from oracles import report_rows, report_text, report_values
 
 
-def kernel_fields(values, shortest, fallback):
+def kernel_fields(values, fallback):
     """The kernel's field of each value, from one call per io chunk."""
     values = np.asarray(values, dtype=np.float64)
     chunks = [values[i : i + _CHUNK_ROWS] for i in range(0, len(values), _CHUNK_ROWS)]
-    return np.concatenate([_floattext.float_fields(chunk, shortest, fallback) for chunk in chunks])
+    return np.concatenate([_floattext.float_fields(chunk, fallback) for chunk in chunks])
 
 
-def kernel_text(values, shortest, fallback):
+def kernel_text(values, fallback):
     """The kernel's text of each value, one per line."""
-    fields = kernel_fields(values, shortest, fallback)
+    fields = kernel_fields(values, fallback)
     lines = np.column_stack([fields, np.full(len(fields), ord("\n"), dtype=np.uint8)])
     return lines.tobytes().translate(None, b"\0").decode("ascii")
 
@@ -38,12 +36,10 @@ def kernel_text(values, shortest, fallback):
 def assert_exact(values):
     values = np.asarray(values, dtype=np.float64)
     floats = values.tolist()
-    for name, (shortest, reference) in STYLES.items():
-        got = kernel_text(values, shortest, reference)
-        want = "\n".join(map(reference, floats)) + "\n"
-        if got != want:  # name the first value that differs, not MBs of text
-            bad = next(i for i, text in enumerate(got.splitlines()) if text != reference(floats[i]))
-            pytest.fail(f"{name}: {floats[bad]!r} written as {got.splitlines()[bad]!r}")
+    got = kernel_text(values, format_float)
+    if got != "\n".join(map(format_float, floats)) + "\n":  # name the first value that differs
+        bad = next(i for i, text in enumerate(got.splitlines()) if text != format_float(floats[i]))
+        pytest.fail(f"{floats[bad]!r} written as {got.splitlines()[bad]!r}")
 
 
 def field_texts(fields):
@@ -52,15 +48,15 @@ def field_texts(fields):
     return lines.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
 
 
-def fallbacks(values, shortest):
+def fallbacks(values):
     """The values the kernel hands to its per-value function."""
     seen = []
 
     def fallback(x):
         seen.append(x)
-        return repr(x) if shortest else format_float(x)
+        return format_float(x)
 
-    kernel_fields(values, shortest, fallback)
+    kernel_fields(values, fallback)
     return seen
 
 
@@ -104,30 +100,27 @@ def test_the_kernel_decides_short_decimals_and_uniform_values_itself():
     # exact products (|x| from about 1e-6 to 1e17) need no per-value call
     k = np.arange(1, 5000)
     uniform = np.random.default_rng(11).random(100_000)
-    for shortest in (True, False):
-        assert fallbacks(np.concatenate([k / 8, k / 1000, uniform]), shortest) == []
+    assert fallbacks(np.concatenate([k / 8, k / 1000, uniform])) == []
 
 
 def test_the_kernel_decides_exact_halves_and_ties_itself():
     # y = |x| * 10**s, an exact product here, halfway between two integers
-    # (x = m / 4 in [2**50, 2**51), m odd), or an integer ending in 5
-    # halfway between two of repr's candidates (x = j / 64 in [2**36, 2**37),
-    # j odd)
+    # (x = m / 4 in [2**50, 2**51), m odd), or, where y reaches 10**17, an
+    # integer of 18 digits ending in 5, halfway between two of 17 digits
+    # (x = j / 64 in [2**36, 2**37), j odd)
     rng = np.random.default_rng(31)
     halves = (rng.integers(2**51, 2**52, 5000) * 2 + 1) / 4
     ties = (rng.integers(2**41, 2**42, 5000) * 2 + 1) / 64
     values = np.concatenate([halves, ties, -halves, -ties, [108300450064.42188]])
     assert_exact(values)
-    for shortest in (True, False):
-        assert fallbacks(values, shortest) == []
+    assert fallbacks(values) == []
 
 
 def test_values_outside_the_scaled_range_and_non_finite_ones_take_the_fallback():
     values = [5e-324, 0.0, 1e-300, 1e300, float("inf"), -0.0, float("nan"), 0.5, 1e300, 0.0]
-    for shortest in (True, False):
-        seen = fallbacks(values, shortest)  # once per distinct value
-        assert sorted(map(repr, seen)) == ["-0.0", "0.0", "1e+300", "1e-300", "5e-324", "inf", "nan"]
-    text = kernel_text(np.array([np.nan, np.inf, -np.inf, 2.5]), True, lambda x: "null")
+    seen = fallbacks(values)  # once per distinct value
+    assert sorted(map(repr, seen)) == ["-0.0", "0.0", "1e+300", "1e-300", "5e-324", "inf", "nan"]
+    text = kernel_text(np.array([np.nan, np.inf, -np.inf, 2.5]), lambda x: "null")
     assert text == "null\nnull\nnull\n2.5\n"
 
 
@@ -140,9 +133,8 @@ def test_a_call_of_any_length_gives_the_per_value_text():
     ints = rng.integers(-(2**63), 2**63, 70_000, dtype=np.int64) // 10 ** rng.integers(0, 19, 70_000)
     assert len(floats) == 70_000
     for n in (0, 1, 4095, 4096, 70_000):
-        for shortest, reference in STYLES.values():
-            fields = _floattext.float_fields(floats[:n], shortest, reference)
-            assert field_texts(fields) == list(map(reference, floats[:n].tolist()))
+        fields = _floattext.float_fields(floats[:n], format_float)
+        assert field_texts(fields) == list(map(format_float, floats[:n].tolist()))
         assert field_texts(_floattext.int_fields(ints[:n])) == list(map(str, ints[:n].tolist()))
 
 
@@ -158,13 +150,13 @@ def test_report_columns_take_the_fallback_only_outside_the_scaled_range(tmp_path
     written, seen = [], []
     real = _floattext.float_fields
 
-    def recording(values, shortest, fallback):
+    def recording(values, fallback):
         def recorded(x):
             seen.append(x)
             return fallback(x)
 
         written.append(len(values))
-        return real(values, shortest, recorded)
+        return real(values, recorded)
 
     monkeypatch.setattr(_floattext, "float_fields", recording)
     for flags in (["decompose"], ["decompose", "--epsilon", "0.01"], ["decompose", "--paper-literal"]):
@@ -183,10 +175,9 @@ def test_threads_write_what_one_thread_writes():
     edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300, np.inf, np.nan]
     mixed = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), edges])
     jobs = []
-    for _ in range(8):
+    for _ in range(16):
         bits = rng.integers(0, 2**64, _CHUNK_ROWS - len(mixed), dtype=np.uint64).view(np.float64)
-        values = rng.permutation(np.concatenate([bits[np.isfinite(bits)], mixed]))
-        jobs += [(values, shortest, fallback) for shortest, fallback in STYLES.values()]
+        jobs.append((rng.permutation(np.concatenate([bits[np.isfinite(bits)], mixed])), format_float))
     want = [_floattext.float_fields(*job) for job in jobs]
     got = [None] * len(jobs)
     start = threading.Barrier(4)
@@ -211,7 +202,7 @@ def test_threads_write_what_one_thread_writes():
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
-def test_kernel_matches_repr_and_format_float(values):
+def test_kernel_matches_format_float(values):
     assert_exact(values)
 
 
@@ -237,4 +228,6 @@ def sections(draw):
 def test_sections_match_per_row_dicts(columns):
     nullable = ("x",)
     text = serialize_report({"s": Columns(columns, nullable=nullable)})
-    assert text == serialize_report({"s": report_rows(columns, nullable=nullable)})
+    rows = {"s": report_rows(columns, nullable=nullable)}
+    assert report_values(text) == report_values(serialize_report(rows))
+    assert text == report_text(rows)

@@ -28,7 +28,7 @@ from covar.io import (
     write_report,
 )
 from covar.stats import ProbabilityBatch
-from oracles import report_rows
+from oracles import report_rows, report_text, report_values
 
 ROW3 = np.array([[0.7, 0.2, 0.1]])
 
@@ -424,8 +424,36 @@ FROZEN_DOC = {
 FROZEN_TEXT = '{"b":1,"a":[1.5,true,null,"x"],"nested":{"z":3.0},"empty":{},"elist":[]}\n'
 
 
+# a section at the edges of format_float's text: fixed and exponent notation
+# on both sides of each switch, 2**53, the smallest subnormal, -0.0, the
+# largest double, int64's ends and a null
+FROZEN_SECTION = {
+    "x": [
+        1e-5, 1e-4, 0.1, 1e16, 1e17, 2.0**53, 123456789012345680.0, 5e-324, -0.0,
+        1.7976931348623157e308, math.nan,
+    ],
+    "i": [0, -1, 7, 2**63 - 1, -(2**63), 10, 100, 1000, 10**4, 10**5, 42],
+    "ok": [True, False] * 5 + [True],
+}
+
+FROZEN_SECTION_TEXT = (
+    '{"s":[{"x":1.0000000000000001e-05,"i":0,"ok":true},{"x":0.0001,"i":-1,"ok":false},'
+    '{"x":0.10000000000000001,"i":7,"ok":true},'
+    '{"x":10000000000000000.0,"i":9223372036854775807,"ok":false},'
+    '{"x":1e+17,"i":-9223372036854775808,"ok":true},{"x":9007199254740992.0,"i":10,"ok":false},'
+    '{"x":1.2345678901234568e+17,"i":100,"ok":true},{"x":4.9406564584124654e-324,"i":1000,"ok":false},'
+    '{"x":-0.0,"i":10000,"ok":true},{"x":1.7976931348623157e+308,"i":100000,"ok":false},'
+    '{"x":null,"i":42,"ok":true}]}\n'
+)
+
+
 def test_serialize_report_frozen_layout():
     assert serialize_report(FROZEN_DOC) == FROZEN_TEXT
+
+
+def test_serialize_report_frozen_section():
+    columns = {name: np.array(values) for name, values in FROZEN_SECTION.items()}
+    assert serialize_report({"s": Columns(columns, nullable=("x",))}) == FROZEN_SECTION_TEXT
 
 
 def test_serialize_preserves_insertion_order():
@@ -484,10 +512,14 @@ def test_columns_encode_as_per_row_dicts(n):
             "nest": {"a": {"b": [1, 2]}, "c": section({"y": np.arange(n) / 7})},
         }
 
-    want = serialize_report(doc(report_rows))
+    rows = doc(report_rows)
+    text = serialize_report(doc(Columns))
     stream = stdio.StringIO()
     write_report(doc(Columns), stream)
-    same = serialize_report(doc(Columns)) == want == stream.getvalue()  # no slow diff on failure
+    # the values of the per-row dicts, bit for bit, in the per-row text;
+    # not asserted inline: a diff of MBs of text is slow
+    same = report_values(text) == report_values(serialize_report(rows))
+    same = same and text == report_text(rows) == stream.getvalue()
     assert same
 
 
@@ -541,7 +573,9 @@ def test_sections_inside_lists_and_tuples_and_side_by_side():
         lambda section: {"a": section(columns), "b": section({"y": np.ones(2)})},
         lambda section: {"a": [section(columns), section(columns)]},
     ):
-        assert serialize_report(doc(Columns)) == serialize_report(doc(report_rows))
+        text, rows = serialize_report(doc(Columns)), doc(report_rows)
+        assert report_values(text) == report_values(serialize_report(rows))
+        assert text == report_text(rows)
 
 
 def test_strings_like_the_section_placeholder_are_written_as_they_are():
@@ -587,4 +621,6 @@ def test_report_round_trip_property(doc, at):
     def with_section(section):
         return dict(items[:at] + [("samples", section(columns))] + items[at:])
 
-    assert serialize_report(with_section(Columns)) == serialize_report(with_section(report_rows))
+    text, rows = serialize_report(with_section(Columns)), with_section(report_rows)
+    assert report_values(text) == report_values(serialize_report(rows))
+    assert text == report_text(rows)
