@@ -67,7 +67,10 @@ def main() -> None:
     cover = {name: [] for name in names}
     t0 = time.perf_counter()
     for config in configs:
-        batch, y = generate(config)
+        try:  # a temperature can sharpen a row to all zeros
+            batch, y = generate(config)
+        except CovarError as exc:
+            ap.error(str(exc))
         for name, ev in zip(names, evaluate_policies(batch, y, policies)):
             acc[name].append(ev.selected_accuracy)
             wacc[name].append(ev.weighted_accuracy)

@@ -43,6 +43,18 @@ if [ "$code" -ne 2 ] || [ -s overflow.csv ]; then
   echo "grid --v-max 1e308 --v-steps 2 exited $code, expected 2 and empty stdout" >&2
   exit 1
 fi
+# an infinite p bound and a --temp that sharpens a row to all zeros are named
+# before numpy sees them: exit 2, empty stdout, one stderr line naming the flag
+for case in "grid --p-max inf|p-min" "simulate --n 50 --k 3 --temp 1e-3|overconfidence_temp"; do
+  code=0
+  python -m covar ${case%|*} > bad.out 2> bad.err || code=$?
+  if [ "$code" -ne 2 ] || [ -s bad.out ] || [ "$(wc -l < bad.err)" -ne 1 ] || ! grep -q -- "${case#*|}" bad.err; then
+    echo "covar ${case%|*} exited $code, expected 2, empty stdout and one stderr line naming" \
+      "${case#*|}:" >&2
+    cat bad.err >&2
+    exit 1
+  fi
+done
 # a CSV matrix is opened more than once, so a named pipe must exit 2 with
 # nothing on stdout, at once: timeout's 124 or an exit 0 fails the script
 mkfifo fifo.csv

@@ -7,27 +7,30 @@ bytes to the width of its kind.  The caller lays fields and literal text
 side by side and drops the NULs.
 
 Floats.  For |x| in (1e-280, 1e280), ``y = |x| * 10**s`` with ``s``
-chosen so that ``10**16 <= y < 2 * 10**17`` is computed as a double-double:
-a Dekker product of |x| with the double nearest ``10**s``, plus |x| times
-the double nearest the rest of ``10**s``.  For ``0 <= s <= 22`` that rest
-is 0 and the product is exact; otherwise it is off by at most about
-``y * 2**-104``, under ``2**-46``.  ``y`` is held as an integer ``D`` plus
-``rho`` in [-0.5, 0.5], and rounded to 17 digits (half to even): an 18th
-digit is rounded away at the tens.
+chosen from x's binary exponent, so that ``10**16 <= y < 2 * 10**17``, is
+computed as a double-double: a Dekker product of |x| with the double
+nearest ``10**s``, plus |x| times the double nearest the rest of
+``10**s``.  For ``0 <= s <= 22`` that rest is 0 and the product is exact;
+otherwise it is off by at most about ``y * 2**-104``, under ``2**-46``.
+``y`` is held as an integer ``C`` plus ``rho`` in [-0.5, 0.5], C rounded
+half to even.  Where C reaches ``10**17``, y is formed again with
+``s - 1``, in [10**16, 2 * 10**16), so every C has 17 digits.  Where the
+product is rounded, no double's y lies within 2**-8 of ``10**17 - 1/2``,
+so the first C picks the values to scale again exactly.
 
-Every decision compares two integers, or a double with 0 or 0.5.  Where
-the product is exact, so are those doubles.  Where it is rounded, a value
-whose decision lies within ``_MARGIN`` = 2**-30 of its threshold, far
-above the rounding, goes to the caller's per-value function instead, as
-do values outside (1e-280, 1e280), zeros among them, and non-finite ones.
-So no digit depends on the margin being tight.
+Every decision compares two integers, or a double with 0.5.  Where the
+product is exact, so are those doubles.  Where it is rounded, a value
+whose ``|rho|`` lies within ``_MARGIN`` = 2**-30 of 0.5, far above the
+rounding, goes to the caller's per-value function instead, as do values
+outside (1e-280, 1e280), zeros among them, and non-finite ones.  So no
+digit depends on the margin being tight.
 
 Tables do the per-value work that depends on few inputs.  Everything
-that depends on x's binary exponent alone (``s``, the split ``10**s``,
-the exponent of the text) is read from tables indexed by it.  The text
-is gathered from a 32-byte row per value (its digits, exponent, sign and
-the characters ``0.e``) through one layout per exponent, digit count and
-digit offset.  The gather index is intp: np.take would copy a narrower
+that depends on s alone (the split ``10**s``, whether the product is
+rounded, the exponent of the text) is read from tables indexed by s.
+The text is gathered from a 32-byte row per value (its digits, exponent,
+sign and the characters ``0.e``) through one layout per exponent and
+digit count.  The gather index is intp: np.take would copy a narrower
 one to intp first.
 """
 
@@ -77,19 +80,21 @@ def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high, v - high
 
 
-# Per biased exponent E of |x|, so |x| is in [2**(E - 1023), 2**(E - 1022)).
-# Exponents outside (_TINY, _HUGE) never reach these tables.
-_E = np.clip(np.arange(2048, dtype=np.int64), int(_INSIDE) >> 52, int(_INSIDE + _WIDE) >> 52)
-_S = 16 - (((_E - 1023) * 78913) >> 18)  # floor((E - 1023) * log10(2)) for |E - 1023| < 1650
-_HI, _LO = (table[_S - _S_MIN] for table in _powers_of_ten())
+def _scale_index(e):
+    """The index of 10**s in the per-s tables, for |x| in [2**e, 2**(e + 1))."""
+    return (16 - _S_MIN) - ((e * 78913) >> 18)  # s = 16 - floor(e * log10(2)) for |e| < 1650
+
+
+# Per s, at index s - _S_MIN
+_HI, _LO = _powers_of_ten()
 _HH, _HL = _split(_HI)
 _ROUNDED = _LO != 0  # the product is rounded, so its decisions keep a margin
 
 
 def _digit_tables() -> tuple[np.ndarray, ...]:
     """The four digit characters of 0..9999, each as one uint32, their
-    trailing zeros, and a sign and three digits for each exponent
-    -399..399, as one uint32.  Then 0..9999 with their leading zeros as
+    trailing zeros, and a sign and three digits of the text's exponent
+    16 - s per s, as one uint32.  Then 0..9999 with their leading zeros as
     NUL, each as one uint32: where 0 is all NUL, and where it is '0'."""
     chars = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
     for place in range(4):
@@ -102,7 +107,7 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
         (chars * (np.arange(4) >= m[:, None])).view(np.uint32)[:, 0]
         for m in (leading, np.minimum(leading, 3))
     )
-    exps = np.arange(-399, 400)
+    exps = 16 - np.arange(_S_MIN, _S_MAX + 1)
     signs = np.where(exps < 0, ord("-"), ord("+")).astype(np.uint8)
     exp_chars = np.column_stack([signs, chars[np.abs(exps), 1:]])
     return chars.view(np.uint32)[:, 0], zeros, exp_chars.view(np.uint32)[:, 0], lead, lead_zero
@@ -124,7 +129,7 @@ def _groups(v: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-# A value's source row: the 20 digits of C (two or three leading zeros),
+# A value's source row: the 20 digits of C (three leading zeros),
 # its exponent's sign and three digits, '0', '.', 'e', NUL and its sign,
 # in 32 bytes.
 _D0, _ESIGN, _ZERO, _DOT, _E_CHAR, _NUL, _SIGN = 3, 20, 24, 25, 26, 27, 28
@@ -135,8 +140,7 @@ _FIXED_EXPS = range(-4, 17)
 def _layouts() -> np.ndarray:
     """Source byte of each output byte, per layout.  Fixed layouts come
     first, for exponents -4..16 and 1..17 digits, then exponent
-    layouts for 1..17 digits and two or three exponent digits; each for
-    17 digits of C and then for 18, whose digits start a byte earlier."""
+    layouts for 1..17 digits and two or three exponent digits."""
     i = np.arange(FLOAT_WIDTH - 1)  # the bytes after the sign
     exp, n = np.divmod(np.arange(21 * 17), 17)
     exp, n = exp[:, None] - 4, n[:, None] + 1
@@ -157,40 +161,35 @@ def _layouts() -> np.ndarray:
     sources = [_D0, _DOT, _D0 + i - 1, _E_CHAR, _ESIGN, _ESIGN + tail - three]
     expo = np.select(at_digits + at_tail, sources, _NUL)
     body = np.concatenate([fixed, expo])
-    seventeen = np.column_stack([np.full(len(body), _SIGN), body]).astype(np.intp)
-    return np.stack([seventeen, seventeen - (seventeen < _ESIGN)], axis=1).reshape(-1, FLOAT_WIDTH)
+    return np.column_stack([np.full(len(body), _SIGN), body]).astype(np.intp)
 
 
 _LAYOUTS = _layouts()
 
 
-def _key_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A value's key is ``_KEY_BASE[E] + 19 * (C has 18 digits) - (C's
-    trailing zeros)``: 36 keys per exponent ``16 - s``, for 17 and 18
-    digits of C and 18 digit counts.  Per key, the exponent word of the
-    text and the layout."""
-    e0 = np.arange(16 - _S_MAX, 17 - _S_MIN)[:, None]
-    eighteen, n = np.divmod(np.arange(36), 18)
-    n = np.minimum(n + 1, 17)  # 18 digits with no trailing zero never occur
-    exp = e0 + eighteen
-    exp_layout = 2 * (len(_FIXED_EXPS) * 17 + 2 * (n - 1) + (np.abs(exp) >= 100)) + eighteen
-    fixed_layout = 2 * ((exp - _FIXED_EXPS[0]) * 17 + n - 1) + eighteen
+def _key_layouts() -> np.ndarray:
+    """A value's key is ``17 * (s - _S_MIN) + 16 - (C's trailing zeros)``:
+    17 keys per s, one per digit count.  Per key, the layout."""
+    exp = 16 - np.arange(_S_MIN, _S_MAX + 1)[:, None]
+    n = np.arange(1, 18)
+    exp_layout = len(_FIXED_EXPS) * 17 + 2 * (n - 1) + (np.abs(exp) >= 100)
+    fixed_layout = (exp - _FIXED_EXPS[0]) * 17 + n - 1
     layout = np.where((exp >= _FIXED_EXPS[0]) & (exp <= _FIXED_EXPS[-1]), fixed_layout, exp_layout)
-    return 36 * (16 - _S - e0[0]) + 16, _EXP4[exp + 399].ravel(), layout.ravel()
+    return layout.ravel()
 
 
-_KEY_BASE, _KEY_EXP4, _KEY_LAYOUT = _key_tables()
+_KEY_LAYOUT = _key_layouts()
 
 
-def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``a * 10**s`` as ``D + rho``, for positive a in (_TINY, _HUGE) of
-    biased exponents e."""
-    ph = a * _HI.take(e)
+def _scaled(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * 10**s`` as ``C + rho``, for positive a in (_TINY, _HUGE) and
+    s as indices into the per-s tables."""
+    ph = a * _HI.take(s)
     ah, al = _split(a)
-    hh, hl = _HH.take(e), _HL.take(e)
+    hh, hl = _HH.take(s), _HL.take(s)
     pl = ((ah * hh - ph) + ah * hl + al * hh) + al * hl  # a * hi == ph + pl exactly
-    pl += a * _LO.take(e)
-    r = np.rint(pl)
+    pl += a * _LO.take(s)
+    r = np.rint(pl)  # ph is an even integer, so C is y rounded half to even
     return ph.astype(np.int64) + r.astype(np.int64), pl - r
 
 
@@ -203,36 +202,31 @@ def float_fields(values: np.ndarray, fallback: Callable[[float], str]) -> np.nda
     bits = x.view(np.uint64) & _MAGNITUDE
     left = np.flatnonzero(bits - _INSIDE >= _WIDE)
     bits[left] = _STAND_IN  # 1/3 is in range, and its y takes no subset's path below
-    e = (bits >> np.uint64(52)).view(np.int64)
-    c, rho = _scaled(bits.view(np.float64), e)  # y as D + rho; D is rounded to C in place
-    unsure = np.zeros(len(x), dtype=bool)
-    at = np.flatnonzero(c >= _P17)  # 18 digits: round at the tens
+    a = bits.view(np.float64)
+    s = _scale_index((bits >> np.uint64(52)).view(np.int64) - 1023)  # s - _S_MIN, from here on
+    c, rho = _scaled(a, s)
+    at = np.flatnonzero(c >= _P17)  # 18 digits: y again with s - 1
     if len(at):
-        q = c[at] // 10
-        rem = c[at] - q * 10
-        r = rho[at]
-        # C is y rounded to units, half to even, so rem is not 5 where |rho| is 0.5
-        up = (rem > 5) | ((rem == 5) & ((r > 0) | ((r == 0) & (q & 1 == 1))))
-        c[at] = (q + up) * 10
-        unsure[at] = (rem == 5) & (np.abs(r) < _MARGIN) & _ROUNDED.take(e[at])
+        s[at] -= 1
+        c[at], rho[at] = _scaled(a[at], s[at])
     near = np.flatnonzero(np.abs(rho) > 0.5 - _MARGIN)  # a rounded product's C may be off by one
-    unsure[near] |= _ROUNDED.take(e[near])
+    unsure = np.zeros(len(x), dtype=bool)
+    unsure[near] = _ROUNDED.take(s[near])
     unsure[left] = True
-    # C has 17 or 18 digits; an 18th is a zero and adds one to the exponent
     groups = _groups(c, 5)
     zeros = _ZEROS4[groups[4]]
     at = np.flatnonzero(zeros == 4)
-    for j in range(3, -1, -1):
+    for j in range(3, 0, -1):  # C's leading group is not 0
         if not len(at):
             break
         more = _ZEROS4[groups[j, at]]
         zeros[at] += more
         at = at[more == 4]
-    key = _KEY_BASE.take(e) + 19 * (c >= _P17) - zeros
+    key = 17 * s + 16 - zeros
     src = np.empty((len(x), _SRC_WIDTH), dtype=np.uint8)
     words = src.view(np.uint32)
     words[:, :5] = _DIGITS4[groups].T
-    words[:, 5] = _KEY_EXP4.take(key)
+    words[:, 5] = _EXP4.take(s)
     words[:, 6] = _CONST4
     src[:, _SIGN] = np.signbit(x).view(np.uint8) * np.uint8(ord("-"))
     index = _LAYOUTS.take(_KEY_LAYOUT.take(key), axis=0)

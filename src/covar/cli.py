@@ -314,8 +314,8 @@ def _cmd_ece(args) -> dict:
 
 
 def _cmd_grid(args) -> Iterator[str]:
-    if not args.p_min <= args.p_max:
-        raise CovarError("need p-min <= p-max")
+    if not -math.inf < args.p_min <= args.p_max < math.inf:
+        raise CovarError("need finite p-min <= p-max")
     if not 0.0 <= args.v_min <= args.v_max:
         raise CovarError("need 0 <= v-min <= v-max")
     if min(args.p_steps, args.v_steps) < 0:

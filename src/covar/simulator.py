@@ -151,7 +151,10 @@ def _draw(config: SyntheticConfig) -> tuple[np.ndarray, np.ndarray]:
 
     if config.overconfidence_temp != 1.0:
         rows = rows ** (1.0 / config.overconfidence_temp)
-        rows /= rows.sum(axis=1, keepdims=True)
+        sums = rows.sum(axis=1, keepdims=True)
+        if not sums.all():  # every entry of a row underflowed
+            raise DomainError(f"overconfidence_temp {config.overconfidence_temp!r} sharpens a row to all zeros")
+        rows /= sums
 
     if config.residual_mode == "bimodal":
         # Rescale every error row into the high-confidence band, keeping its

@@ -326,6 +326,9 @@ def test_removed_flags_exit_2(capsys, matrix_csv, argv):
 def test_grid_bad_ranges(capsys):
     code, _, err = run(capsys, "grid", "--p-min", "0.9", "--p-max", "0.5")
     assert code == 2 and "p-min" in err
+    for bound in ("--p-max=inf", "--p-min=-inf"):  # named before numpy sees the value
+        code, out, err = run(capsys, "grid", bound)
+        assert (code, out) == (2, "") and "p-min" in err and "Warning" not in err
     # p must stay inside [1/K, CONF_CEILING], where g is defined
     for bounds in (("--p-min", "0.01"), ("--p-max", "0.9999999")):
         code, _, err = run(capsys, "grid", "--k", "21", *bounds)
@@ -761,6 +764,7 @@ def test_out_of_memory_requests_exit_2(capsys, matrix_csv, labels_file, argv):
         (("simulate", "--n", "5", "--k", "3", "--priors", "nan,0.5,0.5"), "(nan, 0.5, 0.5)"),
         (("simulate", "--n", "5", "--k", "3", "--seed", "-1"), "seed must be a non-negative integer, got -1"),
         (("simulate", "--n", "5", "--k", "3", "--priors", "0.5,x"), "comma-separated numbers, got '0.5,x'"),
+        (("simulate", "--n", "50", "--k", "3", "--temp", "1e-3"), "overconfidence_temp 0.001 sharpens a row to all zeros"),
     ],
 )
 def test_non_finite_config_values_are_named(capsys, matrix_csv, labels_file, argv, named):
@@ -827,6 +831,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
         ("certificate_margin.py", ("--fixed-eps", "0.6", "--k", "3")),
         ("policy_sweep.py", ("--seeds", "0")),
         ("policy_sweep.py", ("--n", "1")),
+        ("policy_sweep.py", ("--seeds", "1", "--n", "2000", "--temp", "1e-3")),
     ],
 )
 def test_experiment_scripts_reject_arguments_they_cannot_serve(script, args):

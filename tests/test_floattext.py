@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -94,6 +95,27 @@ def test_edge_values():
             2.0**-25, 1e-5, 1e-4, 123456789012345678.0, 0.1, 1 / 3,
         ]
     )
+
+
+def test_every_binade_in_the_range_scales_into_17_or_18_digits():
+    # y = |x| * 10**s, exactly, at both ends of each binade that meets
+    # (1e-280, 1e280); an 18-digit y is formed again with s - 1, so the
+    # per-s tables must hold s - 1 too.  Where the product is rounded, the
+    # first rounding picks the values to scale again exactly unless some
+    # double's y is near 10**17 - 1/2
+    first = int(_floattext._INSIDE) >> 52
+    last = int(_floattext._INSIDE + _floattext._WIDE) >> 52
+    boundary = Fraction(2 * 10**17 - 1, 2)
+    for e in range(first - 1023, last - 1022):
+        index = _floattext._scale_index(e)
+        assert 1 <= index < len(_floattext._HI)
+        scale = Fraction(10) ** (_floattext._S_MIN + index)
+        low, high = Fraction(2) ** e * scale, Fraction(2) ** (e + 1) * scale
+        assert 10**16 <= low and high <= 2 * 10**17
+        if low <= boundary < high and _floattext._ROUNDED[index]:
+            step = Fraction(2) ** (e - 52) * scale  # y's spacing in this binade
+            m = math.floor((boundary - low) / step)
+            assert min(abs(low + k * step - boundary) for k in (m, m + 1)) > 2**-8
 
 
 def test_the_kernel_decides_short_decimals_and_uniform_values_itself():
