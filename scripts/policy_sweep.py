@@ -60,21 +60,21 @@ def main() -> None:
         ]
     except CovarError as exc:
         ap.error(str(exc))
-    names = [f"fixed-tau={t:g}" for t in args.taus] + ["covar-pcos"]
 
-    acc = {name: [] for name in names}
-    wacc = {name: [] for name in names}
-    cover = {name: [] for name in names}
+    # one list per policy, in policy order: the thresholds, then covar
+    acc, wacc, cover = ([[] for _ in policies] for _ in range(3))
     t0 = time.perf_counter()
     for config in configs:
         try:  # a temperature can sharpen a row to all zeros
             batch, y = generate(config)
         except CovarError as exc:
             ap.error(str(exc))
-        for name, ev in zip(names, evaluate_policies(batch, y, policies)):
-            acc[name].append(ev.selected_accuracy)
-            wacc[name].append(ev.weighted_accuracy)
-            cover[name].append(ev.n_selected / args.n)
+        evals = evaluate_policies(batch, y, policies)
+        names = [ev.name for ev in evals]
+        for i, ev in enumerate(evals):
+            acc[i].append(ev.selected_accuracy)
+            wacc[i].append(ev.weighted_accuracy)
+            cover[i].append(ev.n_selected / args.n)
     elapsed = time.perf_counter() - t0
 
     print(
@@ -83,19 +83,17 @@ def main() -> None:
         f"residual={args.residual}  ({elapsed:.1f}s)"
     )
     print(f"{'policy':<16} {'sel-acc':>8} {'w-acc':>8} {'coverage':>9}")
-    for name in names:
+    for i, name in enumerate(names):
         print(
-            f"{name:<16} {np.nanmean(acc[name]):8.4f} "
-            f"{np.nanmean(wacc[name]):8.4f} {np.mean(cover[name]):9.4f}"
+            f"{name:<16} {np.nanmean(acc[i]):8.4f} "
+            f"{np.nanmean(wacc[i]):8.4f} {np.mean(cover[i]):9.4f}"
         )
 
-    ref = f"fixed-tau={args.taus[len(args.taus) // 2]:g}"
-    wins = sum(
-        w > a for w, a in zip(wacc["covar-pcos"], acc[ref])
-    )
-    margin = np.nanmean(wacc["covar-pcos"]) - np.nanmean(acc[ref])
+    ref = len(args.taus) // 2
+    wins = sum(w > a for w, a in zip(wacc[-1], acc[ref]))
+    margin = np.nanmean(wacc[-1]) - np.nanmean(acc[ref])
     print(
-        f"\ncovar weighted accuracy beat {ref} selected accuracy in "
+        f"\ncovar weighted accuracy beat {names[ref]} selected accuracy in "
         f"{wins}/{args.seeds} seeds (mean margin {margin:+.4f})"
     )
 

@@ -130,15 +130,20 @@ done
 (cd run1 && sha256sum big.csv big.txt simulate.json decompose.json decompose_fixed.json \
   decompose_literal.json select.json grid.csv) > big.sha256
 (cd run2 && sha256sum -c ../big.sha256)
-# the same matrix as CSV and in the binary container: decompose must write
-# the same report for both, but for input.source
+# the same matrix as CSV and in the binary container: decompose, compare and
+# ece must write the same report for both, but for input.source
 (
   cd run1
   python -m covar simulate --n 10000 --k 6 --out big.bin > /dev/null
-  python -m covar decompose --input big.bin > decompose_bin.json
+  for m in big.csv big.bin; do
+    python -m covar decompose --input "$m" > "decompose_$m.json"
+    python -m covar compare --input "$m" --labels big.txt > "compare_$m.json"
+    python -m covar ece --input "$m" --labels big.txt > "ece_$m.json"
+  done
   python -c 'import json, pathlib, sys
-csv, binary = (pathlib.Path(name).read_text() for name in ("decompose.json", "decompose_bin.json"))
-source = json.dumps("big.csv")
-if csv.count(source) != 1 or csv.replace(source, json.dumps("big.bin")) != binary:
-    sys.exit("decompose wrote different reports for big.csv and big.bin")'
+for command in ("decompose", "compare", "ece"):
+    csv, binary = (pathlib.Path(f"{command}_{m}.json").read_text() for m in ("big.csv", "big.bin"))
+    source = json.dumps("big.csv")
+    if csv.count(source) != 1 or csv.replace(source, json.dumps("big.bin")) != binary:
+        sys.exit(f"{command} wrote different reports for big.csv and big.bin")'
 )

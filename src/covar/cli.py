@@ -13,7 +13,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterator
 
@@ -65,17 +65,11 @@ def _report(kind: str, **sections) -> dict:
     return doc
 
 
-def _retention_list(retention: dict) -> list:
-    return [
-        {
-            "label": r.label,
-            "count": r.count,
-            "retained": r.retained,
-            "retention": _fin(r.retention),
-            "inv_sqrt_count": _fin(r.inv_sqrt_count),
-        }
-        for _, r in sorted(retention.items())
-    ]
+def _record(record, skip: tuple[str, ...] = ()) -> dict:
+    """A section mirroring a library record: its dataclass fields but
+    ``skip``, in declaration order, each non-finite float as null."""
+    section = {f.name: getattr(record, f.name) for f in fields(record) if f.name not in skip}
+    return {key: _fin(x) if isinstance(x, float) else x for key, x in section.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -105,15 +99,7 @@ def _cmd_decompose(args) -> dict:
             "rcv": batch.rcv,
             "rho": batch.rho,
             "degenerate": batch.degenerate,
-            "epsilon": per.epsilon,
-            "g_coeff": per.g_coeff,
-            "exact_ce": per.exact_ce,
-            "approx_ce": per.approx_ce,
-            "middle_term": per.middle_term,
-            "f_term": per.f_term,
-            "remainder_bound": per.remainder_bound,
-            "remainder_actual": per.remainder_actual,
-            "assumption_ok": per.assumption_ok,
+            **_record(per),
         },
         nullable=("remainder_bound",),
     )
@@ -122,17 +108,7 @@ def _cmd_decompose(args) -> dict:
         input=_input_section(batch, str(args.input)),
         config={"epsilon": eps_echo, "paper_literal": args.paper_literal},
         samples=samples,
-        batch={
-            "mc_bar": agg.mc_bar,
-            "g_bar": agg.g_bar,
-            "v_bar": agg.v_bar,
-            "srcv": agg.srcv,
-            "cov_gv": agg.cov_gv,
-            "batch_ce": agg.batch_ce,
-            "lower_bound": agg.lower_bound,
-            "remainder_batch_bound": _fin(agg.remainder_batch_bound),
-            "n_samples": agg.n_samples,
-        },
+        batch=_record(agg, skip=("samples",)),
     )
 
 
@@ -256,7 +232,7 @@ def _cmd_simulate(args) -> dict:
     return _report(
         "simulate",
         input=_input_section(batch, "simulate"),
-        config=asdict(config),
+        config=_record(config),
         samples=samples,
         summary={
             "accuracy": float(np.mean(correct)),
@@ -277,18 +253,8 @@ def _cmd_compare(args) -> dict:
         "compare",
         input=_input_section(batch, str(args.input)),
         config={"tau": args.tau, "embedding": args.embedding, "lambda": args.lam},
-        policies=[
-            {
-                "name": e.name,
-                "n_selected": e.n_selected,
-                "selected_accuracy": _fin(e.selected_accuracy),
-                "weighted_accuracy": _fin(e.weighted_accuracy),
-                "mean_weight": e.mean_weight,
-                "ece": e.ece,
-                "retention": _retention_list(e.retention),
-            }
-            for e in evals
-        ],
+        # retention_from_mask keys each policy's retention dict in label order
+        policies=[{**_record(e), "retention": [_record(r) for r in e.retention.values()]} for e in evals],
     )
 
 

@@ -119,15 +119,15 @@ class CEDecomposition:
     form.
     """
 
-    exact_ce: float
-    f_term: float
+    epsilon: float
     g_coeff: float
-    middle_term: float
+    exact_ce: float
     approx_ce: float
+    middle_term: float
+    f_term: float
     remainder_bound: float
     remainder_actual: float
     assumption_ok: bool
-    epsilon: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,15 +138,15 @@ class DecompositionColumns(RowColumns[CEDecomposition]):
 
     row_type: ClassVar[type] = CEDecomposition
 
-    exact_ce: np.ndarray
-    f_term: np.ndarray
+    epsilon: np.ndarray
     g_coeff: np.ndarray
-    middle_term: np.ndarray
+    exact_ce: np.ndarray
     approx_ce: np.ndarray
+    middle_term: np.ndarray
+    f_term: np.ndarray
     remainder_bound: np.ndarray
     remainder_actual: np.ndarray
     assumption_ok: np.ndarray
-    epsilon: np.ndarray
 
 
 @dataclass(frozen=True)

@@ -194,8 +194,8 @@ class PolicyEvaluation:
     selected_accuracy: float
     weighted_accuracy: float
     mean_weight: float
-    retention: dict[int, ClassRetention]
     ece: float
+    retention: dict[int, ClassRetention]
 
 
 def evaluate_policies(
@@ -239,8 +239,8 @@ def evaluate_policies(
                 selected_accuracy=sel_acc,
                 weighted_accuracy=w_acc,
                 mean_weight=float(weights.mean()),
-                retention=retention_from_mask(y, mask, batch.n_classes),
                 ece=cal,
+                retention=retention_from_mask(y, mask, batch.n_classes),
             )
         )
     return out

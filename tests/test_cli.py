@@ -19,12 +19,24 @@ import pytest
 
 import covar
 from covar import cli
-from covar.baseline import ThresholdPolicy, ece as compute_ece
+from covar.baseline import ClassRetention, ThresholdPolicy, ece as compute_ece
 from covar.cli import run_cli
-from covar.decomposition import EpsilonPolicy, decompose_sample, g_coefficient
+from covar.decomposition import (
+    BatchDecomposition,
+    CEDecomposition,
+    EpsilonPolicy,
+    decompose_sample,
+    g_coefficient,
+)
 from covar.io import format_float, load_labels, load_matrix, matrix_digest, parse_report, save_matrix
 from covar.pcos import DEFAULT_LAMBDA
-from covar.simulator import CovarPolicy, SyntheticConfig, evaluate_policies, generate
+from covar.simulator import (
+    CovarPolicy,
+    PolicyEvaluation,
+    SyntheticConfig,
+    evaluate_policies,
+    generate,
+)
 from covar.stats import ProbabilityBatch
 from oracles import report_rows, report_text, report_values
 
@@ -246,6 +258,30 @@ def test_compare_on_simulated_files_matches_library(capsys, tmp_path, name):
         assert [(r["label"], r["count"], r["retained"]) for r in got["retention"]] == [
             (r.label, r.count, r.retained) for _, r in sorted(e.retention.items())
         ]
+
+
+def test_record_sections_follow_their_record_fields(capsys, tmp_path):
+    # a section that mirrors a library record has its fields as keys, in order
+    def names(record, skip=()):
+        return [f.name for f in dataclasses.fields(record) if f.name not in skip]
+
+    mpath, ypath = tmp_path / "m.bin", tmp_path / "y.txt"
+    code, out, _ = run(
+        capsys, "simulate", "--n", "60", "--k", "4", "--out", str(mpath), "--labels-out", str(ypath)
+    )
+    assert code == 0
+    assert list(parse_report(out)["config"]) == names(SyntheticConfig)
+    code, out, _ = run(capsys, "decompose", "--input", str(mpath))
+    doc = parse_report(out)
+    assert code == 0
+    assert list(doc["batch"]) == names(BatchDecomposition, skip=("samples",))
+    assert all(list(s)[-9:] == names(CEDecomposition) for s in doc["samples"])
+    code, out, _ = run(capsys, "compare", "--input", str(mpath), "--labels", str(ypath))
+    policies = parse_report(out)["policies"]
+    assert code == 0 and len(policies) == 2
+    for policy in policies:
+        assert list(policy) == names(PolicyEvaluation)
+        assert policy["retention"] and all(list(r) == names(ClassRetention) for r in policy["retention"])
 
 
 def test_compare_usage_errors(capsys, matrix_csv, labels_file):
